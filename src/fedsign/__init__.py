@@ -8,7 +8,7 @@ from .feasibility import FeasibilityReport, StackedExtractors, capacity_bound, c
 from .federation import ClientState, FedConfig, RoundLog, WatermarkSpec, add_dp_noise, aggregate, client_update, run_federation, sample_clients, setup_clients
 from .manifest import RunManifest, load_manifest, parse_manifest
 from .metrics import ExperimentSummary, false_positive_analysis, fidelity_sweep, reliability_sweep, robustness_sweep, trigger_reliability_sweep
-from .nn import ModelParams, Network, accuracy, build_cnn, build_mlp, cross_entropy, fit, network_from_descriptor, sgd_step
+from .nn import ModelParams, Network, accuracy, build_cnn, build_mlp, cross_entropy, fit, network_from_descriptor, sgd_epochs
 from .watermark import ExtractionKey, VerificationResult, WatermarkKey, bce_reg, extract, hinge_reg, keygen, load_key, read_bits, save_key, verify_aggregated, verify_black, verify_white
 
 __version__ = "0.1.0"

@@ -7,7 +7,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ShapeError
-from .nn import SgdMomentum, accuracy, cross_entropy, rng_for
+from .nn import accuracy, rng_for, sgd_epochs
 from .watermark import verify_black, verify_white
 
 
@@ -59,18 +59,8 @@ def finetune(net, params, ds, epochs, lr=1e-4, momentum=0.9, batch=16,
     parameters; `params` is not modified.
     """
     net.set_params(params)
-    if epochs == 0:
-        return net.get_params()
-    opt = SgdMomentum(net.params, momentum)
-    cur_lr = lr
-    for epoch in range(epochs):
-        order = rng_for(seed, "finetune", epoch).permutation(ds.n)
-        for start in range(0, ds.n, batch):
-            idx = order[start:start + batch]
-            logits = net.forward(ds.inputs[idx], train=True)
-            _, dlogits = cross_entropy(logits, ds.labels[idx])
-            opt.step(net.params, net.backward(dlogits), cur_lr)
-        cur_lr *= lr_decay
+    sgd_epochs(net, ds.inputs, ds.labels, epochs, lr, momentum, batch,
+               (seed, "finetune"), lr_decay)
     return net.get_params()
 
 

@@ -15,10 +15,8 @@ import numpy as np
 
 from .data import Dataset, Shard
 from .errors import ConfigError, StateError
-from .nn import Network, SgdMomentum, accuracy, rng_for, softmax
+from .nn import TRAINABLE_ROLES, Network, accuracy, rng_for, sgd_epochs
 from .watermark import WatermarkKey, bce_reg, hinge_reg, keygen, verify_black, verify_white
-
-TRAINABLE_ROLES = ("kernel", "scale", "bias")
 
 
 @dataclass
@@ -113,58 +111,26 @@ def client_update(state, global_params, cfg, round_index=0):
         raise ConfigError(f"client {state.client_id}: alpha > 0 but no trigger set")
     net = state.net
     net.set_params(global_params)
-    losses = {"main": [], "trigger": [], "feature": []}
+    terms = ("main", "trigger", "feature")
     if cfg.local_epochs == 0:
-        return net.get_params(), {k: 0.0 for k in losses}
+        return net.get_params(), {k: 0.0 for k in terms}
 
-    reg = _reg_for(state.loss_kind)
-    opt = SgdMomentum(net.params, cfg.momentum)
-    lr = cfg.lr * cfg.lr_decay ** round_index
-    use_triggers = state.alpha > 0
-    if use_triggers:
-        trig_rng = rng_for(cfg.seed, "trigger-batches", round_index, state.client_id)
-    for epoch in range(cfg.local_epochs):
-        # shuffle stream is shared across clients so that identical shards
-        # under identical configs produce identical updates
-        order = rng_for(cfg.seed, "batches", round_index, epoch).permutation(state.data.n)
-        for start in range(0, state.data.n, cfg.batch):
-            idx = order[start:start + cfg.batch]
-            xb = state.data.inputs[idx]
-            yb = state.data.labels[idx]
-            n_clean = len(idx)
-            n_trig = 0
-            if use_triggers:
-                trig = state.key.triggers
-                pick = trig_rng.integers(0, trig.size, size=cfg.backdoor_batch)
-                xb = np.concatenate([xb, trig.samples[pick]])
-                yb = np.concatenate([yb, trig.target_labels[pick]])
-                n_trig = cfg.backdoor_batch
-
-            logits = net.forward(xb, train=True)
-            z = logits - logits.max(axis=1, keepdims=True)
-            logp_all = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-            logp = logp_all[np.arange(len(yb)), yb]
-            probs = softmax(logits)
-            onehot = np.zeros_like(probs)
-            onehot[np.arange(len(yb)), yb] = 1.0
-            dlogits = probs - onehot
-            loss_main = -logp[:n_clean].mean()
-            dlogits[:n_clean] /= n_clean
-            loss_trig = 0.0
-            if n_trig:
-                loss_trig = -logp[n_clean:].mean()
-                dlogits[n_clean:] *= state.alpha / n_trig
-            grads = net.backward(dlogits)
-
-            loss_feat = 0.0
-            if state.beta > 0:
-                loss_feat, reg_grads = reg(net.params, state.key)
-                grads = grads + state.beta * reg_grads
-            opt.step(net.params, grads, lr)
-            losses["main"].append(loss_main)
-            losses["trigger"].append(loss_trig)
-            losses["feature"].append(loss_feat)
-    return net.get_params(), {k: float(np.mean(v)) for k, v in losses.items()}
+    feature_reg = _reg_for(state.loss_kind)
+    triggers = reg = None
+    if state.alpha > 0:
+        trig = state.key.triggers
+        triggers = (trig.samples, trig.target_labels, state.alpha, cfg.backdoor_batch,
+                    rng_for(cfg.seed, "trigger-batches", round_index, state.client_id))
+    if state.beta > 0:
+        def reg(params):
+            loss, grads = feature_reg(params, state.key)
+            return loss, state.beta * grads
+    # the shuffle stream is shared across clients so that identical shards
+    # under identical configs produce identical updates
+    losses = sgd_epochs(net, state.data.inputs, state.data.labels, cfg.local_epochs,
+                        cfg.lr * cfg.lr_decay ** round_index, cfg.momentum, cfg.batch,
+                        (cfg.seed, "batches", round_index), triggers=triggers, reg=reg)
+    return net.get_params(), {k: float(np.mean(v)) for k, v in zip(terms, losses)}
 
 
 def add_dp_noise(update, sigma, seed):
@@ -216,17 +182,26 @@ def aggregate(updates):
 # orchestration
 
 def setup_clients(ds, shards, net, specs, seed, vanilla=None):
-    """Build per-client state; clients listed in `specs` get keys."""
+    """Build per-client state; clients listed in `specs` get keys.
+
+    Scale-mode keys take consecutive slices of the channel pool in client
+    id order, so they are disjoint while their bits fit the pool."""
+    holders = {cid: spec for cid, spec in specs.items() if spec.alpha > 0 or spec.beta > 0}
+    offsets, total = {}, 0
+    for cid in sorted(holders):
+        if holders[cid].mode == "scale":
+            offsets[cid] = total
+            total += holders[cid].n_bits
     clients = []
     for shard in shards:
-        spec = specs.get(shard.client_id)
+        spec = holders.get(shard.client_id)
         key = None
         alpha = beta = 0.0
         loss_kind = "hinge"
-        if spec is not None and (spec.alpha > 0 or spec.beta > 0):
+        if spec is not None:
             key = keygen(net, shard.client_id, spec.n_bits, spec.n_triggers,
                          spec.mode, seed, dataset=ds, trigger_kind=spec.trigger_kind,
-                         vanilla=vanilla)
+                         vanilla=vanilla, offset=offsets.get(shard.client_id))
             alpha, beta, loss_kind = spec.alpha, spec.beta, spec.loss
         clients.append(ClientState(shard.client_id, shard, ds.subset(shard.indices),
                                    net.clone(), key, alpha, beta, loss_kind))

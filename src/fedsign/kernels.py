@@ -1,131 +1,15 @@
-"""Hot numeric kernels: 2-d convolution and 2x2 max-pooling.
-
-Two interchangeable backends:
-
-* ``numba`` -- direct loops compiled with ``@njit`` (default when numba
-  imports cleanly),
-* ``numpy`` -- vectorized im2col fallback.
-
-Selection is driven by the ``FEDSIGN_BACKEND`` environment variable
-(``auto`` | ``numba`` | ``numpy``), read once at import time.  Both
-backends implement the same contracts; ``benchmarks/bench_kernels.py``
-compares their throughput.
+"""Hot numeric kernels: 2-d convolution and 2x2 max-pooling, vectorized
+with numpy (im2col views and window reshapes, no compiled code).
 
 Layout is NHWC, float64.  Convolutions are stride 1 with symmetric
 zero padding ``k // 2`` ("same" for odd kernels).  Pooling is 2x2,
 stride 2, ties resolved to the first window position in row-major
-order (identical in both backends).
+order.  ``python3 sessionbench/run.py --workload cnn-pgd --trace 1``
+reports their per-call times and conv GFLOP/s.
 """
-
-import os
 
 import numpy as np
 
-_requested = os.environ.get("FEDSIGN_BACKEND", "auto").lower()
-if _requested not in ("auto", "numba", "numpy"):
-    raise ValueError(f"FEDSIGN_BACKEND must be auto|numba|numpy, got {_requested!r}")
-
-_njit = None
-if _requested in ("auto", "numba"):
-    try:
-        from numba import njit as _njit
-    except ImportError:
-        if _requested == "numba":
-            raise
-        _njit = None
-
-BACKEND = "numba" if _njit is not None else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# numba kernels (valid convolution on pre-padded input)
-
-def _conv2d_fwd_loops(xp, w, b, out):
-    # channel-out innermost: contiguous in both w and out, SIMD-friendly
-    bs, hp, wp, ci_n = xp.shape
-    kh, kw, _, co_n = w.shape
-    oh = hp - kh + 1
-    ow = wp - kw + 1
-    for n in range(bs):
-        for i in range(oh):
-            for j in range(ow):
-                for co in range(co_n):
-                    out[n, i, j, co] = b[co]
-                for u in range(kh):
-                    for v in range(kw):
-                        for ci in range(ci_n):
-                            xv = xp[n, i + u, j + v, ci]
-                            for co in range(co_n):
-                                out[n, i, j, co] += xv * w[u, v, ci, co]
-
-
-def _conv2d_bwd_loops(xp, w, dy, dxp, dw, db):
-    bs = xp.shape[0]
-    kh, kw, ci_n, co_n = w.shape
-    oh = dy.shape[1]
-    ow = dy.shape[2]
-    for n in range(bs):
-        for i in range(oh):
-            for j in range(ow):
-                for co in range(co_n):
-                    db[co] += dy[n, i, j, co]
-                for u in range(kh):
-                    for v in range(kw):
-                        for ci in range(ci_n):
-                            xv = xp[n, i + u, j + v, ci]
-                            acc = 0.0
-                            for co in range(co_n):
-                                g = dy[n, i, j, co]
-                                dw[u, v, ci, co] += xv * g
-                                acc += w[u, v, ci, co] * g
-                            dxp[n, i + u, j + v, ci] += acc
-
-
-def _maxpool2_fwd_loops(x, y, arg):
-    bs, h, w, c_n = x.shape
-    h2 = h // 2
-    w2 = w // 2
-    for n in range(bs):
-        for i in range(h2):
-            for j in range(w2):
-                for c in range(c_n):
-                    best = x[n, 2 * i, 2 * j, c]
-                    a = 0
-                    v = x[n, 2 * i, 2 * j + 1, c]
-                    if v > best:
-                        best = v
-                        a = 1
-                    v = x[n, 2 * i + 1, 2 * j, c]
-                    if v > best:
-                        best = v
-                        a = 2
-                    v = x[n, 2 * i + 1, 2 * j + 1, c]
-                    if v > best:
-                        best = v
-                        a = 3
-                    y[n, i, j, c] = best
-                    arg[n, i, j, c] = a
-
-
-def _maxpool2_bwd_loops(arg, dy, dx):
-    bs, h2, w2, c_n = dy.shape
-    for n in range(bs):
-        for i in range(h2):
-            for j in range(w2):
-                for c in range(c_n):
-                    a = arg[n, i, j, c]
-                    dx[n, 2 * i + a // 2, 2 * j + a % 2, c] += dy[n, i, j, c]
-
-
-if BACKEND == "numba":
-    _conv2d_fwd_loops = _njit(cache=True, fastmath=True)(_conv2d_fwd_loops)
-    _conv2d_bwd_loops = _njit(cache=True, fastmath=True)(_conv2d_bwd_loops)
-    _maxpool2_fwd_loops = _njit(cache=True)(_maxpool2_fwd_loops)
-    _maxpool2_bwd_loops = _njit(cache=True)(_maxpool2_bwd_loops)
-
-
-# ---------------------------------------------------------------------------
-# numpy fallback helpers
 
 def _im2col(xp, kh, kw):
     bs, hp, wp, ci = xp.shape
@@ -156,13 +40,6 @@ def conv2d_forward(x, w, b):
     """x (B,H,W,Cin), w (kh,kw,Cin,Cout), b (Cout,) -> y (B,H,W,Cout)."""
     kh, kw, _, co = w.shape
     xp = np.ascontiguousarray(_pad(x, kh // 2))
-    bs, hp, wp, _ = xp.shape
-    oh = hp - kh + 1
-    ow = wp - kw + 1
-    if BACKEND == "numba":
-        y = np.empty((bs, oh, ow, co))
-        _conv2d_fwd_loops(xp, np.ascontiguousarray(w), b, y)
-        return y
     cols = _im2col(xp, kh, kw)
     return cols @ w.reshape(-1, co) + b
 
@@ -172,13 +49,6 @@ def conv2d_backward(x, w, dy):
     kh, kw, ci, co = w.shape
     p = kh // 2
     xp = np.ascontiguousarray(_pad(x, p))
-    if BACKEND == "numba":
-        dxp = np.zeros_like(xp)
-        dw = np.zeros_like(w)
-        db = np.zeros(co)
-        _conv2d_bwd_loops(xp, np.ascontiguousarray(w),
-                          np.ascontiguousarray(dy), dxp, dw, db)
-        return _unpad(dxp, p), dw, db
     cols = _im2col(xp, kh, kw)
     db = dy.sum(axis=(0, 1, 2))
     dw = np.einsum("bhwk,bhwc->kc", cols, dy).reshape(w.shape)
@@ -197,11 +67,6 @@ def maxpool2_forward(x):
     bs, h, w, c = x.shape
     if h % 2 or w % 2:
         raise ValueError(f"maxpool2 needs even spatial dims, got {h}x{w}")
-    if BACKEND == "numba":
-        y = np.empty((bs, h // 2, w // 2, c))
-        arg = np.empty((bs, h // 2, w // 2, c), dtype=np.int64)
-        _maxpool2_fwd_loops(np.ascontiguousarray(x), y, arg)
-        return y, arg
     win = x.reshape(bs, h // 2, 2, w // 2, 2, c).transpose(0, 1, 3, 2, 4, 5)
     win = win.reshape(bs, h // 2, w // 2, 4, c)
     arg = win.argmax(axis=3)
@@ -211,10 +76,6 @@ def maxpool2_forward(x):
 
 def maxpool2_backward(arg, dy, in_shape):
     """Scatter dy back to the argmax positions of the forward input."""
-    if BACKEND == "numba":
-        dx = np.zeros(in_shape)
-        _maxpool2_bwd_loops(arg, np.ascontiguousarray(dy), dx)
-        return dx
     bs, h, w, c = in_shape
     dwin = np.zeros((bs, h // 2, w // 2, 4, c))
     np.put_along_axis(dwin, arg[:, :, :, None, :], dy[:, :, :, None, :], axis=3)

@@ -192,6 +192,10 @@ def _validate(m):
         raise ConfigError(f"arch must be mlp or cnn, got {m.arch!r}")
     if m.data_kind not in ("blobs", "images"):
         raise ConfigError(f"data_kind must be blobs or images, got {m.data_kind!r}")
+    expected = "images" if m.arch == "cnn" else "blobs"
+    if m.data_kind != expected:
+        raise ConfigError(f"arch = {m.arch} needs data_kind = {expected}, "
+                          f"got data_kind = {m.data_kind}")
     if m.split not in ("iid", "noniid"):
         raise ConfigError(f"split must be iid or noniid, got {m.split!r}")
     if m.classes < 2:

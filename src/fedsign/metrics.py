@@ -1,15 +1,14 @@
 """Experiment sweeps: fidelity, reliability and robustness curves over
 derived seeds, with CSV emission and an independent summary pass.
 
-Raw sweep CSVs carry one row per (axis value, seed); summaries are always
-recomputed from the raw CSV rather than from in-memory state, so the
-written artifact is the thing being summarized.
+Raw sweep CSVs carry one row per (axis value, seed); whenever a raw CSV
+is written, the summary is recomputed from that file rather than from
+in-memory state, so the written artifact is the thing being summarized.
 """
 
 import csv
 import math
 import os
-import tempfile
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -54,16 +53,21 @@ def write_raw_csv(rows, path):
             writer.writerow([repr(float(value)), seed, repr(float(metric))])
 
 
-def summarize_csv(path):
-    """Independent aggregation pass over a raw sweep CSV: per-axis mean and
-    population std, points sorted by axis value."""
+def _group_points(pairs):
+    """Per-axis mean and population std over (axis value, metric) pairs,
+    points sorted by axis value."""
     groups = {}
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        for row in reader:
-            groups.setdefault(float(row["axis"]), []).append(float(row["metric"]))
+    for value, metric in pairs:
+        groups.setdefault(value, []).append(metric)
     return [(v, float(np.mean(g)), float(np.std(g)))
             for v, g in sorted(groups.items())]
+
+
+def summarize_csv(path):
+    """Independent aggregation pass over a raw sweep CSV."""
+    with open(path, newline="") as f:
+        return _group_points((float(row["axis"]), float(row["metric"]))
+                             for row in csv.DictReader(f))
 
 
 def write_summary_csv(points, path):
@@ -76,20 +80,16 @@ def write_summary_csv(points, path):
 
 def _summary_from_rows(rows, axis, metric, n_seeds, out_dir=None, name=None,
                        capacity_mark=None):
-    """Write raw CSV, then build the summary from that file."""
-    if out_dir is not None:
+    """Summarize sweep rows; with `out_dir`, write the raw CSV and build the
+    summary from that file."""
+    if out_dir is None:
+        points = _group_points((float(value), float(m)) for value, _, m in rows)
+    else:
         os.makedirs(out_dir, exist_ok=True)
         raw_path = os.path.join(out_dir, f"{name}_raw.csv")
-        summary_path = os.path.join(out_dir, f"{name}_summary.csv")
-    else:
-        raw_path = tempfile.mktemp(suffix=".csv")
-        summary_path = None
-    write_raw_csv(rows, raw_path)
-    points = summarize_csv(raw_path)
-    if summary_path is not None:
-        write_summary_csv(points, summary_path)
-    elif os.path.exists(raw_path):
-        os.unlink(raw_path)
+        write_raw_csv(rows, raw_path)
+        points = summarize_csv(raw_path)
+        write_summary_csv(points, os.path.join(out_dir, f"{name}_summary.csv"))
     return ExperimentSummary(axis, metric, points, n_seeds, capacity_mark)
 
 

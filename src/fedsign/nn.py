@@ -14,7 +14,6 @@ from . import kernels
 from .errors import ShapeError, StateError
 
 TRAINABLE_ROLES = ("kernel", "scale", "bias")
-AUX_ROLES = ("running_mean", "running_var")
 
 
 def rng_for(*parts):
@@ -367,18 +366,39 @@ def softmax(logits):
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _check_labels(labels, n_classes):
+    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
+        raise ShapeError(f"label out of range for {n_classes} classes")
+
+
+def _xent(logits, labels, n_clean, alpha=0.0):
+    """Cross-entropy of a batch whose rows past `n_clean` are trigger rows.
+
+    Returns (clean loss, trigger loss, dlogits): each part's loss is its
+    mean negative log-softmax of the true class; the clean rows' gradient
+    is divided by n_clean, the trigger rows' multiplied by alpha / n_trig.
+    Labels are not range-checked here.
+    """
+    n = len(labels)
+    rows = np.arange(n)
+    z = logits - logits.max(axis=1, keepdims=True)
+    logp = (z - np.log(np.exp(z).sum(axis=1, keepdims=True)))[rows, labels]
+    dlogits = softmax(logits)
+    dlogits[rows, labels] -= 1.0
+    dlogits[:n_clean] /= n_clean
+    trig_loss = 0.0
+    if n > n_clean:
+        trig_loss = -logp[n_clean:].mean()
+        dlogits[n_clean:] *= alpha / (n - n_clean)
+    return -logp[:n_clean].mean(), trig_loss, dlogits
+
+
 def cross_entropy(logits, labels):
     """Mean negative log-softmax of the true class.  Returns (loss, dlogits)."""
     labels = np.asarray(labels)
-    n, c = logits.shape
-    if labels.min() < 0 or labels.max() >= c:
-        raise ShapeError(f"label out of range for {c} classes")
-    z = logits - logits.max(axis=1, keepdims=True)
-    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    loss = -logp[np.arange(n), labels].mean()
-    dlogits = softmax(logits)
-    dlogits[np.arange(n), labels] -= 1.0
-    return loss, dlogits / n
+    _check_labels(labels, logits.shape[1])
+    loss, _, dlogits = _xent(logits, labels, len(labels))
+    return loss, dlogits
 
 
 def accuracy(net, inputs, labels):
@@ -404,35 +424,53 @@ class SgdMomentum:
             params[k] -= lr * v
 
 
-def sgd_step(params, grads, lr, momentum, velocity=None):
-    """Functional single step; returns (new_params, new_velocity)."""
-    if params.entries.keys() != grads.entries.keys():
-        raise StateError("gradient key set differs from parameters")
-    if velocity is None:
-        velocity = params.zeros_like()
-    new_v = velocity * momentum + grads
-    return params - lr * new_v, new_v
+def sgd_epochs(net, inputs, labels, epochs, lr, momentum, batch, stream,
+               lr_decay=1.0, triggers=None, reg=None):
+    """Minibatch momentum SGD on  L = L_main + alpha * L_trigger + R.
+
+    Epoch e visits the rows in the order ``rng_for(*stream, e)``; the
+    learning rate is multiplied by `lr_decay` after every epoch.
+    `triggers` = (inputs, labels, alpha, count, rng) extends every batch
+    with `count` trigger rows drawn with replacement by `rng` (batch
+    poisoning).  `reg` maps the live parameters to the (loss, gradient) of
+    an added regularizer.  Returns the per-batch losses as a
+    (3, epochs, batches) array: main, trigger and regularizer terms.
+    """
+    labels = np.asarray(labels)
+    _check_labels(labels, net.n_classes)
+    starts = range(0, len(labels), batch)
+    losses = np.zeros((3, epochs, len(starts)))
+    alpha = 0.0
+    if triggers is not None:
+        trig_inputs, trig_labels, alpha, count, trig_rng = triggers
+        _check_labels(trig_labels, net.n_classes)
+    opt = SgdMomentum(net.params, momentum)
+    for epoch in range(epochs):
+        order = rng_for(*stream, epoch).permutation(len(labels))
+        for b, start in enumerate(starts):
+            idx = order[start:start + batch]
+            xb, yb = inputs[idx], labels[idx]
+            if triggers is not None:
+                pick = trig_rng.integers(0, len(trig_labels), size=count)
+                xb = np.concatenate([xb, trig_inputs[pick]])
+                yb = np.concatenate([yb, trig_labels[pick]])
+            main, trig, dlogits = _xent(net.forward(xb, train=True), yb, len(idx), alpha)
+            grads = net.backward(dlogits)
+            feat = 0.0
+            if reg is not None:
+                feat, reg_grads = reg(net.params)
+                grads = grads + reg_grads
+            opt.step(net.params, grads, lr)
+            losses[:, epoch, b] = main, trig, feat
+        lr *= lr_decay
+    return losses
 
 
 def fit(net, inputs, labels, epochs, lr, momentum=0.9, batch=16, seed=0, lr_decay=1.0):
     """Centralized cross-entropy training; returns per-epoch mean loss."""
-    labels = np.asarray(labels)
-    opt = SgdMomentum(net.params, momentum)
-    history = []
-    cur_lr = lr
-    for epoch in range(epochs):
-        order = rng_for(seed, "fit", epoch).permutation(len(labels))
-        losses = []
-        for start in range(0, len(order), batch):
-            idx = order[start:start + batch]
-            logits = net.forward(inputs[idx], train=True)
-            loss, dlogits = cross_entropy(logits, labels[idx])
-            grads = net.backward(dlogits)
-            opt.step(net.params, grads, cur_lr)
-            losses.append(loss)
-        history.append(float(np.mean(losses)))
-        cur_lr *= lr_decay
-    return history
+    losses = sgd_epochs(net, inputs, labels, epochs, lr, momentum, batch,
+                        (seed, "fit"), lr_decay)
+    return [float(np.mean(epoch)) for epoch in losses[0]]
 
 
 # ---------------------------------------------------------------------------

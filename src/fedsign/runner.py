@@ -32,8 +32,7 @@ def make_data(m, seed):
 
 def make_network(m, seed):
     if m.arch == "mlp":
-        n_in = m.data_dim if m.data_kind == "blobs" else 64
-        return build_mlp(n_in, list(m.hidden), m.classes, (seed, "net"))
+        return build_mlp(m.data_dim, list(m.hidden), m.classes, (seed, "net"))
     return build_cnn(8, 1, list(m.channels), m.classes, (seed, "net"))
 
 

@@ -161,14 +161,15 @@ def _scatter_selected(params, selector, flat):
 
 def keygen(net, client_id, n_bits, n_triggers, mode, seed, dataset=None,
            trigger_kind="pattern", vanilla=None, pgd_eps=0.3, pgd_lr=0.01,
-           pgd_iters=80, margin=DEFAULT_MARGIN):
+           pgd_iters=80, margin=DEFAULT_MARGIN, offset=None):
     """Generate one client's secret key: bits, extraction key, trigger set.
 
-    Bits are i.i.d. uniform {-1,+1}.  In scale mode the coordinates come
-    from slices of one seed-shared channel permutation, offset by client
-    id, so clients stay disjoint while the total bit count fits the pool;
-    in kernel mode the extraction matrix is dense i.i.d. standard normal.
-    Deterministic per (seed, client_id).
+    Bits are i.i.d. uniform {-1,+1}.  In scale mode the coordinates are
+    the slice of one seed-shared channel permutation that starts at
+    `offset` (default client_id * n_bits) and wraps around the pool, so
+    clients given consecutive offsets stay disjoint while the total bit
+    count fits the pool; in kernel mode the extraction matrix is dense
+    i.i.d. standard normal.  Deterministic per (seed, client_id, offset).
     """
     if n_bits < 1:
         raise ShapeError("n_bits must be >= 1")
@@ -180,7 +181,9 @@ def keygen(net, client_id, n_bits, n_triggers, mode, seed, dataset=None,
         if n_bits > pool:
             raise CapacityError(f"{n_bits} bits exceed the {pool}-channel pool")
         perm = rng_for(seed, "wm-coords").permutation(pool)
-        offsets = (client_id * n_bits + np.arange(n_bits)) % pool
+        if offset is None:
+            offset = client_id * n_bits
+        offsets = (offset + np.arange(n_bits)) % pool
         extractor = ExtractionKey(selector, pool, coords=perm[offsets])
     else:
         matrix = rng_for(seed, "wm-matrix", client_id).normal(size=(pool, n_bits))

@@ -11,7 +11,7 @@ from fedsign.attacks import (
 )
 from fedsign.data import make_synthetic, split
 from fedsign.federation import FedConfig, WatermarkSpec, run_federation, setup_clients
-from fedsign.nn import build_mlp
+from fedsign.nn import SgdMomentum, build_mlp, cross_entropy, rng_for
 from fedsign.watermark import verify_white
 
 
@@ -91,6 +91,27 @@ def test_prune_opt_in_roles_cover_scales():
 def test_finetune_zero_epochs_is_identity(robustness_run):
     net, params, keys, train, test = robustness_run
     assert finetune(net, params, train, epochs=0).equal(params)
+
+
+def test_finetune_replays_momentum_sgd():
+    ds = make_synthetic(3, 30, seed=7, kind="blobs")  # 90 rows: ragged last batch
+    net = build_mlp(32, [16, 16], 3, seed=2)
+    start = net.get_params()
+    got = finetune(net, start, ds, epochs=3, lr=0.01, batch=16, seed=4)
+
+    replay = net.clone()
+    replay.set_params(start)
+    opt = SgdMomentum(replay.params, 0.9)
+    lr = 0.01
+    for epoch in range(3):
+        order = rng_for(4, "finetune", epoch).permutation(ds.n)
+        for s in range(0, ds.n, 16):
+            idx = order[s:s + 16]
+            _, d = cross_entropy(replay.forward(ds.inputs[idx], train=True), ds.labels[idx])
+            opt.step(replay.params, replay.backward(d), lr)
+        lr *= 0.99
+    assert got.equal(replay.get_params())
+    assert not got.equal(start)
 
 
 def test_finetune_keeps_main_accuracy(robustness_run):

@@ -17,8 +17,8 @@ from fedsign.federation import (
     sample_clients,
     setup_clients,
 )
-from fedsign.nn import ModelParams, SgdMomentum, build_mlp, cross_entropy, rng_for
-from fedsign.watermark import hinge_reg, keygen, verify_white
+from fedsign.nn import ModelParams, SgdMomentum, build_mlp, cross_entropy, rng_for, softmax
+from fedsign.watermark import bce_reg, hinge_reg, keygen, verify_white
 
 
 def small_world(seed=0, n_clients=4, specs=None, **cfg_kw):
@@ -53,6 +53,50 @@ def test_plain_client_update_is_local_sgd():
             opt.step(replay.params, replay.backward(d), lr)
     assert got.equal(replay.get_params())
     assert losses["trigger"] == 0.0 and losses["feature"] == 0.0
+
+
+@pytest.mark.parametrize("loss", ["hinge", "bce"])
+def test_poisoned_regularized_client_update_replays(loss):
+    # alpha != 1, three trigger rows per batch, 30-sample shard in batches
+    # of 12 (ragged last batch), feature regularizer on top
+    spec = WatermarkSpec("scale", 8, 5, loss, alpha=0.3, beta=2.0)
+    tr, net, shards, cfg, clients = small_world(seed=2, specs={1: spec},
+                                                batch=12, backdoor_batch=3)
+    state = clients[1]
+    assert state.data.n % cfg.batch
+    start = net.get_params()
+    got, losses = client_update(state, start, cfg, round_index=3)
+
+    reg = hinge_reg if loss == "hinge" else bce_reg
+    trig = state.key.triggers
+    replay = net.clone()
+    replay.set_params(start)
+    opt = SgdMomentum(replay.params, cfg.momentum)
+    lr = cfg.lr * cfg.lr_decay ** 3
+    trig_rng = rng_for(cfg.seed, "trigger-batches", 3, state.client_id)
+    seen = {"main": [], "trigger": [], "feature": []}
+    for epoch in range(cfg.local_epochs):
+        order = rng_for(cfg.seed, "batches", 3, epoch).permutation(state.data.n)
+        for s in range(0, state.data.n, cfg.batch):
+            idx = order[s:s + cfg.batch]
+            pick = trig_rng.integers(0, trig.size, size=3)
+            n = len(idx)
+            logits = replay.forward(
+                np.concatenate([state.data.inputs[idx], trig.samples[pick]]), train=True)
+            main, d_main = cross_entropy(logits[:n], state.data.labels[idx])
+            trig_loss, _ = cross_entropy(logits[n:], trig.target_labels[pick])
+            d_trig = softmax(logits[n:])
+            d_trig[np.arange(3), trig.target_labels[pick]] -= 1.0
+            d_trig *= state.alpha / 3
+            grads = replay.backward(np.concatenate([d_main, d_trig]))
+            feat, reg_grads = reg(replay.params, state.key)
+            opt.step(replay.params, grads + state.beta * reg_grads, lr)
+            seen["main"].append(main)
+            seen["trigger"].append(trig_loss)
+            seen["feature"].append(feat)
+    assert got.equal(replay.get_params())
+    assert losses == {k: float(np.mean(v)) for k, v in seen.items()}
+    assert losses["trigger"] > 0.0 and losses["feature"] > 0.0
 
 
 def test_zero_local_epochs_returns_global_unchanged():
@@ -189,6 +233,22 @@ def test_sample_frequency_uniform():
     freq = counts / rounds
     sigma = np.sqrt(frac * (1 - frac) / rounds)
     assert (np.abs(freq - frac) <= 3 * sigma + 1e-12).all()
+
+
+# ---------------------------------------------------------------------------
+# key assignment
+
+@pytest.mark.parametrize("bits", [{0: 8, 4: 8}, {1: 4, 2: 12, 5: 16}])
+def test_setup_clients_scale_coords_disjoint(bits):
+    tr = make_synthetic(3, 40, seed=50, kind="blobs")
+    net = build_mlp(32, [16, 16], 3, seed=0)  # 32-channel scale pool
+    specs = {cid: WatermarkSpec("scale", n, 0, "hinge", beta=1.0) for cid, n in bits.items()}
+    specs[3] = WatermarkSpec("kernel", 16, 0, "bce", beta=1.0)  # takes no channels
+    clients = setup_clients(tr, split(tr, 6, seed=0), net, specs, seed=3)
+    coords = [c.key.extractor.coords for c in clients
+              if c.key is not None and c.key.extractor.coords is not None]
+    assert [len(c) for c in coords] == [bits[cid] for cid in sorted(bits)]
+    assert len(np.unique(np.concatenate(coords))) == sum(bits.values())
 
 
 # ---------------------------------------------------------------------------

@@ -106,7 +106,3 @@ def test_maxpool_backward_scatters_to_argmax():
 def test_maxpool_rejects_odd_dims():
     with pytest.raises(ValueError):
         kernels.maxpool2_forward(np.zeros((1, 3, 4, 1)))
-
-
-def test_backend_flag_exposed():
-    assert kernels.BACKEND in ("numba", "numpy")

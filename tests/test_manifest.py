@@ -106,6 +106,18 @@ def test_bad_arch_rejected():
         parse_manifest("arch = transformer")
 
 
+@pytest.mark.parametrize("arch,data_kind", [("mlp", "images"), ("cnn", "blobs")])
+def test_arch_data_kind_mismatch_names_both_keys(arch, data_kind):
+    with pytest.raises(ConfigError, match=f"arch = {arch}.*data_kind = {data_kind}"):
+        parse_manifest(f"arch = {arch}\ndata_kind = {data_kind}")
+
+
+@pytest.mark.parametrize("arch,data_kind", [("mlp", "blobs"), ("cnn", "images")])
+def test_arch_data_kind_match_accepted(arch, data_kind):
+    m = parse_manifest(f"arch = {arch}\ndata_kind = {data_kind}")
+    assert (m.arch, m.data_kind) == (arch, data_kind)
+
+
 def test_fraction_validated_through_fedconfig():
     with pytest.raises(ConfigError):
         parse_manifest("fraction = 0.0")

@@ -6,6 +6,7 @@ import pytest
 from fedsign.errors import ConfigError
 from fedsign.manifest import parse_manifest
 from fedsign.metrics import (
+    _summary_from_rows,
     derive_seeds,
     false_positive_analysis,
     fidelity_sweep,
@@ -73,6 +74,17 @@ def test_summary_is_recomputed_from_raw_rows(tmp_path):
     for value, mean, std in points:
         assert mean == pytest.approx(np.mean(by_axis[value]), abs=0)
         assert std == pytest.approx(np.std(by_axis[value]), abs=0)
+
+
+def test_in_memory_summary_equals_file_summary(tmp_path):
+    rows = [(2.5, 0, 1 / 3), (1, 0, 0.1), (2.5, 1, 2 / 3), (1, 1, 0.2),
+            (0, 3, 0.7), (2.5, 2, 1e-17)]
+    in_memory = _summary_from_rows(rows, "bits", "eta", 3)
+    from_file = _summary_from_rows(rows, "bits", "eta", 3, out_dir=tmp_path, name="s")
+    assert repr(in_memory.points) == repr(from_file.points)
+    assert in_memory == from_file
+    assert [p[0] for p in in_memory.points] == [0.0, 1.0, 2.5]
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["s_raw.csv", "s_summary.csv"]
 
 
 def test_raw_csv_layout(tmp_path):

@@ -21,7 +21,6 @@ from fedsign.nn import (
     fit,
     network_from_descriptor,
     rng_for,
-    sgd_step,
     softmax,
 )
 
@@ -167,36 +166,39 @@ def make_params():
     return ModelParams({(0, "kernel"): np.array([1.0, 2.0]), (0, "bias"): np.array([0.5])})
 
 
-def test_plain_sgd_step():
+def test_plain_sgd_update():
     p = make_params()
     g = ModelParams({(0, "kernel"): np.array([1.0, -1.0]), (0, "bias"): np.array([2.0])})
-    out, _ = sgd_step(p, g, lr=0.01, momentum=0.0)
-    np.testing.assert_allclose(out[(0, "kernel")], [0.99, 2.01])
-    np.testing.assert_allclose(out[(0, "bias")], [0.48])
+    SgdMomentum(p, momentum=0.0).step(p, g, lr=0.01)
+    np.testing.assert_allclose(p[(0, "kernel")], [0.99, 2.01])
+    np.testing.assert_allclose(p[(0, "bias")], [0.48])
 
 
 def test_zero_grad_keeps_params():
     p = make_params()
-    out, _ = sgd_step(p, p.zeros_like(), lr=0.1, momentum=0.9)
+    out = p.clone()
+    SgdMomentum(out, momentum=0.9).step(out, p.zeros_like(), lr=0.1)
     assert out.equal(p)
 
 
 def test_two_momentum_steps_unroll():
     p = ModelParams({(0, "kernel"): np.zeros(3)})
     g = ModelParams({(0, "kernel"): np.ones(3)})
-    p1, v1 = sgd_step(p, g, lr=1.0, momentum=0.9)
-    p2, _ = sgd_step(p1, g, lr=1.0, momentum=0.9, velocity=v1)
-    np.testing.assert_allclose(p2[(0, "kernel")], np.full(3, -(1.0 + 1.9)))
+    opt = SgdMomentum(p, momentum=0.9)
+    opt.step(p, g, lr=1.0)
+    opt.step(p, g, lr=1.0)
+    np.testing.assert_allclose(p[(0, "kernel")], np.full(3, -(1.0 + 1.9)))
 
 
 def test_sgd_key_mismatch_raises():
     p = make_params()
     g = ModelParams({(0, "kernel"): np.zeros(2)})
     with pytest.raises(StateError):
-        sgd_step(p, g, lr=0.1, momentum=0.0)
+        SgdMomentum(p, momentum=0.0).step(p, g, lr=0.1)
 
 
 def test_inplace_optimizer_matches_functional():
+    # a first step from zero velocity is p - lr * g, applied to the live arrays
     net = build_mlp(5, [4], 2, seed=3)
     x = rng_for(8).normal(size=(6, 5))
     y = rng_for(9).integers(0, 2, size=6)
@@ -204,7 +206,7 @@ def test_inplace_optimizer_matches_functional():
     _, d = cross_entropy(logits, y)
     grads = net.backward(d)
     snapshot = net.get_params()  # after forward: running stats already updated
-    expect, _ = sgd_step(snapshot, grads, lr=0.05, momentum=0.9)
+    expect = snapshot - 0.05 * grads
     SgdMomentum(net.params, momentum=0.9).step(net.params, grads, lr=0.05)
     assert net.get_params().equal(expect)
 
@@ -263,6 +265,31 @@ def test_fit_is_bitwise_deterministic():
         fit(net, x, y, epochs=3, lr=0.05, seed=33)
         runs.append(net.get_params())
     assert runs[0].equal(runs[1])
+
+
+def test_fit_history_is_per_epoch_mean_loss():
+    rng = rng_for(12)
+    x = rng.normal(size=(30, 5))
+    y = rng.integers(0, 3, size=30)
+    net = build_mlp(5, [6], 3, seed=8)
+    replay = net.clone()
+    history = fit(net, x, y, epochs=3, lr=0.05, batch=8, seed=2, lr_decay=0.5)
+
+    opt = SgdMomentum(replay.params, 0.9)
+    lr = 0.05
+    expect = []
+    for epoch in range(3):
+        order = rng_for(2, "fit", epoch).permutation(30)
+        losses = []
+        for s in range(0, 30, 8):
+            idx = order[s:s + 8]
+            loss, d = cross_entropy(replay.forward(x[idx], train=True), y[idx])
+            opt.step(replay.params, replay.backward(d), lr)
+            losses.append(loss)
+        expect.append(float(np.mean(losses)))
+        lr *= 0.5
+    assert history == expect
+    assert net.get_params().equal(replay.get_params())
 
 
 def test_fit_learns_separable_data():
