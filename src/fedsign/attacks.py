@@ -7,6 +7,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ShapeError
+from .io import write_atomic
 from .nn import accuracy, rng_for, sgd_epochs
 from .watermark import verify_black, verify_white
 
@@ -111,5 +112,4 @@ def attack_reports_to_csv(reports, path):
         for v in (r.eta_gamma, r.eta_kernel, r.trigger_err):
             cells.append("" if v is None else repr(v))
         lines.append(",".join(cells))
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")

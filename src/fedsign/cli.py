@@ -86,19 +86,18 @@ def cmd_verify(args):
 def cmd_feasibility(args):
     keys = [load_key(path) for path in args.keyfiles]
     se = stack(keys)
-    report = decide(se, max_iters=args.max_iters)
+    report = decide(se)
     print(f"{se.n_keys} key(s), {se.n_cols} total bits, pool size {se.u.shape[0]}")
     print(report.summary())
     if args.csv:
-        with open(args.csv, "w") as f:
-            f.write("cond_rank,cond_positive_row,cond_gram_positive,status,"
-                    "margin,nnls_residual,n_keys,total_bits\n")
-            f.write(",".join([
-                str(int(report.cond_rank)), str(int(report.cond_positive_row)),
-                str(int(report.cond_gram_positive)), report.status,
-                "" if report.margin is None else repr(report.margin),
-                "" if report.nnls_residual is None else repr(report.nnls_residual),
-                str(se.n_keys), str(se.n_cols)]) + "\n")
+        row = [int(report.cond_rank), int(report.cond_positive_row),
+               int(report.cond_gram_positive), report.status,
+               "" if report.margin is None else repr(report.margin),
+               "" if report.nnls_residual is None else repr(report.nnls_residual),
+               se.n_keys, se.n_cols]
+        io.write_atomic(args.csv, "cond_rank,cond_positive_row,cond_gram_positive,status,"
+                        "margin,nnls_residual,n_keys,total_bits\n"
+                        + ",".join(map(str, row)) + "\n")
     return EXIT_VERIFY_FAILED if report.status == "infeasible" else EXIT_OK
 
 
@@ -226,7 +225,6 @@ def build_parser():
     f = sub.add_parser("feasibility", help="joint-embedding feasibility of keyfiles")
     f.add_argument("keyfiles", nargs="+")
     f.add_argument("--csv", default=None, help="also write a machine-readable report")
-    f.add_argument("--max-iters", type=int, default=20000)
     f.set_defaults(func=cmd_feasibility)
 
     a = sub.add_parser("attack", help="run removal attacks on trained artifacts")
@@ -247,10 +245,10 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FedsignError, ValueError, OSError) as exc:
+    except (FedsignError, OSError) as exc:  # bad input: artifacts, manifests, paths
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:  # anything else is a bug in fedsign
         print(f"internal error: {exc!r}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import io
-from .errors import ShapeError
+from .errors import FormatError, ShapeError
 from .nn import cross_entropy, rng_for
 
 log = logging.getLogger(__name__)
@@ -80,8 +80,11 @@ class TriggerSet:
     @classmethod
     def load(cls, path):
         samples, targets, class_count, meta = io.load_triggers(path)
-        return cls(samples, targets, meta.get("provenance", "pattern"),
-                   float(meta.get("eps", "0.0")), class_count)
+        try:
+            eps = float(meta.get("eps", "0.0"))
+        except ValueError:
+            raise FormatError(f"trigger set eps {meta['eps']!r} is not a number") from None
+        return cls(samples, targets, meta.get("provenance", "pattern"), eps, class_count)
 
 
 # ---------------------------------------------------------------------------

@@ -9,19 +9,17 @@ exactly one of the following holds:
 * some W satisfies W^T U~ > 0          (feasibility certificate W), or
 * some y >= 0, y != 0 has U~ y = 0     (infeasibility certificate y).
 
-`decide` searches for both certificates at once: a perceptron iteration
-for W (its convergence is the constructive content of the feasible
-branch) and projected-gradient nonnegative least squares over the
-simplex for y.  Both certificates are cheap to re-verify; an exhausted
-iteration budget reports Unknown.
+`decide` finds p, the point nearest the origin in the convex hull of the
+unit-normalised columns of U~, with Wolfe's finite min-norm-point
+algorithm (Math. Programming 11 (1976) 128-149): a non-zero p gives W and
+p = 0 gives y.  Unknown means that neither certificate re-verified.
 
 Three sufficient conditions guarantee the feasible branch: full column
-rank of U, an all-positive row of U~, or an entrywise-positive Gram
-matrix of U~.
+rank of U (from its singular values), an all-positive row of U~, or an
+entrywise-positive Gram matrix of U~.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -30,6 +28,7 @@ from .watermark import default_selector, flatten_selected
 
 RANK_TOL = 1e-10
 STRICT_FLOOR = 1e-9
+WOLFE_TOL = 1e-12
 
 
 @dataclass
@@ -49,20 +48,23 @@ class FeasibilityReport:
     cond_positive_row: bool
     cond_gram_positive: bool
     status: str  # feasible | infeasible | unknown
-    w: Optional[np.ndarray] = None
-    y: Optional[np.ndarray] = None
-    margin: Optional[float] = None         # min_j (W^T U~)_j when feasible
-    nnls_residual: Optional[float] = None  # max |U~ y| when infeasible
+    w: np.ndarray | None = None
+    y: np.ndarray | None = None
+    margin: float | None = None         # min_j (W^T U~)_j when feasible
+    nnls_residual: float | None = None  # max |U~ y| when infeasible
+    iterations: int = 0                 # major cycles of the min-norm search
+    min_norm: float | None = None       # |p|, p nearest the origin in the hull
 
     def summary(self):
         conds = (f"rank={'Y' if self.cond_rank else 'n'} "
                  f"positive_row={'Y' if self.cond_positive_row else 'n'} "
                  f"gram_positive={'Y' if self.cond_gram_positive else 'n'}")
+        stats = f"iterations={self.iterations} min_norm={self.min_norm:.3e}"
         if self.status == "feasible":
-            return f"{conds} status=Feasible margin={self.margin:.3e}"
+            return f"{conds} status=Feasible margin={self.margin:.3e} {stats}"
         if self.status == "infeasible":
-            return f"{conds} status=Infeasible residual={self.nnls_residual:.3e}"
-        return f"{conds} status=Unknown"
+            return f"{conds} status=Infeasible residual={self.nnls_residual:.3e} {stats}"
+        return f"{conds} status=Unknown {stats}"
 
 
 # ---------------------------------------------------------------------------
@@ -86,161 +88,99 @@ def stack(keys):
 
 
 # ---------------------------------------------------------------------------
-# rank via Householder QR with column pivoting
+# rank and conditions
 
-def pivoted_qr_rank(a, rel_tol=RANK_TOL):
-    """Numerical rank from the pivoted-QR diagonal, relative to its largest
-    entry.  Deterministic; no external solver."""
-    r = np.array(a, dtype=np.float64, copy=True)
-    m, n = r.shape
-    diag = []
-    for k in range(min(m, n)):
-        norms = (r[k:, k:] ** 2).sum(axis=0)
-        pivot = int(np.argmax(norms))
-        if norms[pivot] <= 0:
-            break
-        if pivot != 0:
-            r[:, [k, k + pivot]] = r[:, [k + pivot, k]]
-        x = r[k:, k].copy()
-        alpha = -np.linalg.norm(x) if x[0] >= 0 else np.linalg.norm(x)
-        v = x
-        v[0] -= alpha
-        vnorm2 = v @ v
-        if vnorm2 > 0:
-            r[k:, k:] -= np.outer(v, (2.0 / vnorm2) * (v @ r[k:, k:]))
-        r[k, k] = alpha
-        diag.append(abs(alpha))
-    if not diag:
-        return 0
-    top = diag[0]
-    return int(sum(d > rel_tol * top for d in diag))
+def numerical_rank(a, rel_tol=RANK_TOL):
+    """Singular values above `rel_tol` times the largest; 0 for a zero matrix."""
+    s = np.linalg.svd(a, compute_uv=False)
+    return int((s > rel_tol * s[0]).sum()) if s.size and s[0] > 0 else 0
 
 
-def check_conditions(se):
+def check_conditions(se, gram=None):
     """The three sufficient conditions, in order: rank(U) equals the column
     count, some row of U~ is strictly positive, the Gram matrix of U~ is
-    strictly positive entrywise."""
-    cond_rank = pivoted_qr_rank(se.u) == se.n_cols
+    strictly positive entrywise.  `gram` may pass in U~^T U~."""
+    cond_rank = numerical_rank(se.u) == se.n_cols
     cond_row = bool((se.u_tilde > 0).all(axis=1).any())
-    gram = se.u_tilde.T @ se.u_tilde
-    cond_gram = bool((gram > 0).all())
-    return cond_rank, cond_row, cond_gram
+    gram = se.u_tilde.T @ se.u_tilde if gram is None else gram
+    return cond_rank, cond_row, bool((gram > 0).all())
 
 
 # ---------------------------------------------------------------------------
 # certificates
 
-def _project_simplex(y):
-    """Euclidean projection onto {y >= 0, sum(y) = 1}."""
-    s = np.sort(y)[::-1]
-    css = np.cumsum(s) - 1.0
-    rho = np.flatnonzero(s - css / np.arange(1, len(y) + 1) > 0)[-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(y - theta, 0.0)
+def _min_norm_point(gram, tol=WOLFE_TOL):
+    """Wolfe's algorithm for x, the point nearest the origin in the convex
+    hull of points u_j given by their Gram matrix: x is a convex combination
+    of the corral.  A major cycle adds the u_j minimizing x^T u_j; minor
+    cycles move x to the corral's affine min-norm point, stepping back to
+    the boundary and dropping the blocking point when a weight would turn
+    non-positive.  Stops when |x|^2 - min_j x^T u_j <= tol * max_j |u_j|^2,
+    the entering point is in the corral, or rounding stops x shrinking.
+    Returns (corral, weights, major cycles)."""
+    corral, weights = [int(np.argmin(np.diag(gram)))], np.ones(1)
+    last, iterations = np.inf, 0
+    while True:
+        iterations += 1
+        dots = weights @ gram[corral]
+        norm2 = weights @ dots[corral]
+        j = int(np.argmin(dots))
+        if norm2 - dots[j] <= tol * np.diag(gram).max() or j in corral or norm2 >= last:
+            return corral, weights, iterations
+        corral, weights, last = corral + [j], np.append(weights, 0.0), norm2
+        while True:
+            # affine min-norm point: G_S a = c 1, sum(a) = 1, via the Gram of the points
+            # (u_j, 1), positive definite for an affinely independent corral
+            affine = np.linalg.solve(gram[np.ix_(corral, corral)] + 1.0, np.ones(len(corral)))
+            affine /= affine.sum()
+            if (affine > 0).all():
+                weights = affine
+                break
+            blocked = np.flatnonzero(affine <= 0)
+            ratios = weights[blocked] / (weights[blocked] - affine[blocked])
+            weights = weights + ratios.min() * (affine - weights)
+            weights[blocked[np.argmin(ratios)]] = 0.0
+            corral, weights = [c for c, wt in zip(corral, weights) if wt > 0], weights[weights > 0]
 
 
-def _polish_support(u_tilde, y, tol=1e-12):
-    """Exact equality-constrained least squares on the current support:
-    minimize |U~ z|^2 subject to sum(z) = 1, z supported on y's support."""
-    support = np.flatnonzero(y > tol)
-    if support.size == 0:
-        return None
-    g = u_tilde[:, support].T @ u_tilde[:, support]
-    n = support.size
-    kkt = np.zeros((n + 1, n + 1))
-    kkt[:n, :n] = 2.0 * g
-    kkt[:n, n] = 1.0
-    kkt[n, :n] = 1.0
-    rhs = np.zeros(n + 1)
-    rhs[n] = 1.0
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError:
-        sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-    z = sol[:n]
-    if (z < -1e-9).any():
-        return None
-    z = np.maximum(z, 0.0)
-    total = z.sum()
-    if total <= 0:
-        return None
-    out = np.zeros_like(y)
-    out[support] = z / total
-    return out
-
-
-def _feasible_report(se, conds, w):
-    resid = w @ se.u_tilde
-    scale = resid.min()
-    w = w / scale  # rescale so the worst margin is exactly 1
-    return FeasibilityReport(*conds, "feasible", w=w,
-                             margin=float((w @ se.u_tilde).min()))
-
-
-def _infeasible_report(se, conds, y):
-    return FeasibilityReport(*conds, "infeasible", y=y,
-                             nnls_residual=float(np.abs(se.u_tilde @ y).max()))
-
-
-def decide(se, max_iters=20000):
-    """Search for a Gordan certificate either way.
-
-    One outer iteration runs a full perceptron cycle over the columns
-    (W += column whenever W^T column is nonpositive) plus a batch of
-    projected-gradient NNLS steps minimizing |U~ y| over the simplex.
-    First verified certificate wins; `unknown` after max_iters is a
-    legitimate outcome."""
-    conds = check_conditions(se)
+def decide(se):
+    """Gordan's alternative with a certificate either way.  A non-zero p has
+    p^T u~_j >= |p|^2 |u~_j| > 0, so W = p rescaled to worst margin 1; for
+    p = 0 the convex weights of the unit columns, divided by the column
+    norms and renormalised, are y.  Unknown only when neither verifies."""
     ut = se.u_tilde
-    col_norms = np.linalg.norm(ut, axis=0)
-    zero_cols = np.flatnonzero(col_norms == 0)
-    if zero_cols.size:  # a zero column is its own infeasibility certificate
-        y = np.zeros(se.n_cols)
-        y[zero_cols[0]] = 1.0
-        return _infeasible_report(se, conds, y)
-
-    unit = ut / col_norms
-    scale = np.abs(ut).max()
-    resid_tol = STRICT_FLOOR * min(1.0, scale)
-    w = np.zeros(ut.shape[0])
-    y = np.full(se.n_cols, 1.0 / se.n_cols)
     gram = ut.T @ ut
-    lipschitz = 2.0 * np.linalg.norm(ut, 2) ** 2
-    step = 1.0 / lipschitz
-
-    for outer in range(max_iters):
-        # perceptron cycle
-        clean = True
-        for j in range(se.n_cols):
-            if w @ unit[:, j] <= 0.0:
-                w = w + unit[:, j]
-                clean = False
-        if clean and (w @ ut > 0).all():
-            return _feasible_report(se, conds, w)
-
-        # nnls batch
-        for _ in range(10):
-            y = _project_simplex(y - step * 2.0 * (gram @ y))
-        if np.abs(ut @ y).max() <= resid_tol:
-            return _infeasible_report(se, conds, y)
-        if outer % 50 == 49:
-            polished = _polish_support(ut, y)
-            if polished is not None and np.abs(ut @ polished).max() <= resid_tol:
-                return _infeasible_report(se, conds, polished)
-    return FeasibilityReport(*conds, "unknown")
+    conds = check_conditions(se, gram)
+    norms = np.sqrt(np.diag(gram))
+    y, iterations = np.zeros(se.n_cols), 0
+    if (norms == 0).any():  # a zero column is its own infeasibility certificate
+        y[np.argmin(norms)] = 1.0
+    else:
+        corral, weights, iterations = _min_norm_point(gram / np.outer(norms, norms))
+        y[corral] = weights / norms[corral]
+    stats = dict(iterations=iterations, min_norm=float(np.linalg.norm(ut @ y)))
+    y /= y.sum()
+    w = ut @ y  # a positive multiple of p
+    reports = [FeasibilityReport(*conds, "infeasible", y=y, nnls_residual=float(np.abs(w).max()),
+                                 **stats)]
+    margins = w @ ut
+    if margins.min() > 0:
+        w = w / margins.min()  # rescale so the worst margin is exactly 1
+        feasible = FeasibilityReport(*conds, "feasible", w=w, margin=float((w @ ut).min()), **stats)
+        # |p|^2 above the stopping tolerance guarantees positive margins: W first
+        reports.insert(0 if stats["min_norm"] ** 2 > WOLFE_TOL else 1, feasible)
+    return next((report for report in reports if verify_certificate(se, report)),
+                FeasibilityReport(*conds, "unknown", **stats))
 
 
 def verify_certificate(se, report):
     """Independent re-check of whichever certificate the report carries."""
     if report.status == "feasible":
-        resid = report.w @ se.u_tilde
-        return bool((resid > STRICT_FLOOR).all())
+        return bool((report.w @ se.u_tilde > STRICT_FLOOR).all())
     if report.status == "infeasible":
         y = report.y
-        if (y < 0).any() or y.sum() <= 0:
-            return False
         bound = STRICT_FLOOR * max(np.abs(se.u_tilde).max(), 1.0) * y.sum()
-        return bool(np.abs(se.u_tilde @ y).max() <= bound)
+        return bool((y >= 0).all() and y.sum() > 0 and np.abs(se.u_tilde @ y).max() <= bound)
     return False
 
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from .data import Dataset, Shard
 from .errors import ConfigError, StateError
+from .io import write_atomic
 from .nn import TRAINABLE_ROLES, Network, accuracy, rng_for, sgd_epochs
 from .watermark import WatermarkKey, bce_reg, hinge_reg, keygen, verify_black, verify_white
 
@@ -277,5 +278,4 @@ def round_logs_to_csv(logs, path, n_clients):
                     _cell(log.loss_feature.get(k)), _cell(log.eta.get(k)),
                     _cell(log.trigger_error.get(k))]
         lines.append(",".join(row))
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")

@@ -7,6 +7,7 @@ grids.  Parsing is strict: unknown keys are rejected by name.  The full
 schema is documented in docs/FORMATS.md.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError
@@ -88,9 +89,12 @@ class RunManifest:
 
 def _parse_value(key, raw, kind):
     try:
-        return kind(raw)
+        value = kind(raw)
     except ValueError:
         raise ConfigError(f"manifest key {key!r}: cannot parse {raw!r}") from None
+    if kind is int and not -2**63 <= value < 2**63:
+        raise ConfigError(f"manifest key {key!r}: {raw!r} does not fit in 64 bits")
+    return value
 
 
 def _parse_floats(key, raw):
@@ -101,7 +105,10 @@ def _parse_floats(key, raw):
 
 
 def _parse_ints(key, raw):
-    return tuple(int(v) for v in _parse_floats(key, raw))
+    values = _parse_floats(key, raw)
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"manifest key {key!r}: {raw!r} is not a list of integers")
+    return tuple(int(v) for v in values)
 
 
 def _parse_embed(key, raw):
@@ -141,9 +148,9 @@ def parse_manifest(text):
         key, raw = (part.strip() for part in line.split("=", 1))
         if key.startswith("embed."):
             suffix = key[len("embed."):]
-            if not suffix.isdigit():
+            if not (suffix.isascii() and suffix.isdigit()):
                 raise ConfigError(f"manifest key {key!r}: client id must be an integer")
-            embed[int(suffix)] = _parse_embed(key, raw)
+            embed[_parse_value(key, suffix, int)] = _parse_embed(key, raw)
         elif key in _SCALARS:
             if key in values:
                 raise ConfigError(f"manifest key {key!r} appears twice")
@@ -212,5 +219,9 @@ def _validate(m):
 
 
 def load_manifest(path):
-    with open(path) as f:
-        return parse_manifest(f.read())
+    with open(path, encoding="utf-8") as f:
+        try:
+            text = f.read()
+        except UnicodeDecodeError:
+            raise ConfigError(f"manifest {path} is not UTF-8 text") from None
+    return parse_manifest(text)

@@ -10,6 +10,7 @@ import csv
 import math
 import os
 from dataclasses import dataclass, replace
+from io import StringIO
 from typing import Optional
 
 import numpy as np
@@ -17,6 +18,7 @@ import numpy as np
 from .errors import ConfigError
 from .feasibility import capacity_bound
 from .federation import WatermarkSpec
+from .io import write_atomic
 from .nn import rng_for
 from .runner import make_network, run_once
 
@@ -44,13 +46,16 @@ def derive_seeds(master, count):
 # ---------------------------------------------------------------------------
 # csv plumbing
 
+def _write_csv(path, header, rows):
+    f = StringIO()
+    csv.writer(f).writerows([header, *rows])
+    write_atomic(path, f.getvalue())
+
+
 def write_raw_csv(rows, path):
     """Rows of (axis value, seed, metric value)."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["axis", "seed", "metric"])
-        for value, seed, metric in rows:
-            writer.writerow([repr(float(value)), seed, repr(float(metric))])
+    _write_csv(path, ["axis", "seed", "metric"],
+               ([repr(float(value)), seed, repr(float(metric))] for value, seed, metric in rows))
 
 
 def _group_points(pairs):
@@ -71,11 +76,8 @@ def summarize_csv(path):
 
 
 def write_summary_csv(points, path):
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["axis", "mean", "std"])
-        for value, mean, std in points:
-            writer.writerow([repr(float(value)), repr(mean), repr(std)])
+    _write_csv(path, ["axis", "mean", "std"],
+               ([repr(float(value)), repr(mean), repr(std)] for value, mean, std in points))
 
 
 def _summary_from_rows(rows, axis, metric, n_seeds, out_dir=None, name=None,

@@ -7,6 +7,7 @@ are addressed by ``(layer_index, role)`` where role is one of ``kernel``,
 """
 
 import hashlib
+import numbers
 
 import numpy as np
 
@@ -16,9 +17,19 @@ from .errors import ShapeError, StateError
 TRAINABLE_ROLES = ("kernel", "scale", "bias")
 
 
+def _seed_part(part):
+    """Integers of any type (numpy included) as Python ints, so that a seed
+    stream does not depend on numpy's repr; tuples recursively; str as is."""
+    if isinstance(part, tuple):
+        return tuple(_seed_part(p) for p in part)
+    if not isinstance(part, (str, numbers.Integral)):
+        raise TypeError(f"seed parts must be int, str or tuples of them, got {type(part).__name__}")
+    return part if isinstance(part, str) else int(part)
+
+
 def rng_for(*parts):
     """Deterministic, platform-independent RNG derived from mixed int/str parts."""
-    h = hashlib.sha256(repr(parts).encode()).digest()
+    h = hashlib.sha256(repr(_seed_part(parts)).encode()).digest()
     return np.random.default_rng(int.from_bytes(h[:8], "little"))
 
 

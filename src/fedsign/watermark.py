@@ -323,7 +323,6 @@ def save_key(key, path, trigger_path=None):
         if trigger_path is None:
             trigger_path = str(path) + ".triggers"
         key.triggers.save(trigger_path)
-        os.chmod(trigger_path, 0o600)
         ref = os.path.basename(trigger_path)
     io.save_keyfile(
         path, client_id=key.client_id, mode="scale" if key.extractor.coords is not None else "kernel",

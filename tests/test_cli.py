@@ -1,9 +1,11 @@
 import os
+import struct
 
 import numpy as np
 import pytest
 
-from fedsign.cli import EXIT_INPUT, EXIT_OK, EXIT_VERIFY_FAILED, main
+import fedsign.cli
+from fedsign.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_VERIFY_FAILED, main
 from fedsign.nn import build_mlp
 from fedsign.watermark import ExtractionKey, WatermarkKey, keygen, save_key
 
@@ -220,3 +222,33 @@ def test_info_on_junk_is_input_error(tmp_path):
     path = tmp_path / "junk"
     path.write_bytes(b"\x01\x02\x03")
     assert main(["info", str(path)]) == EXIT_INPUT
+
+
+# ---------------------------------------------------------------------------
+# exit codes: 2 for bad input, 3 for bugs
+
+def test_bad_input_exits_2(tmp_path, capsys):
+    manifest = tmp_path / "latin1.manifest"
+    manifest.write_bytes(b"seed = 1 # caf\xe9\n")
+    assert main(["train", str(manifest)]) == EXIT_INPUT
+    assert main(["info", str(tmp_path / "missing.bin")]) == EXIT_INPUT
+    ckpt = tmp_path / "neg.bin"
+    # version 1, descriptor "ab", seed 0, one record (0, "bias") of shape (-1, -1)
+    ckpt.write_bytes(b"FEDSIGN\x00CKPT" + struct.pack("<II", 1, 2) + b"ab"
+                     + struct.pack("<qIII", 0, 1, 0, 4) + b"bias" + struct.pack("<Iqq", 2, -1, -1))
+    assert main(["info", str(ckpt)]) == EXIT_INPUT
+    assert "negative array dimension" in capsys.readouterr().err
+
+
+def test_internal_error_exits_3(tmp_path, monkeypatch, capsys):
+    """A ValueError from library code is a bug, not bad input."""
+    net = build_mlp(8, [16], 3, seed=0)
+    path = tmp_path / "k.key"
+    save_key(keygen(net, 0, 4, 0, "scale", seed=1), path)
+
+    def broken_decide(se):
+        raise ValueError("shapes do not align")
+
+    monkeypatch.setattr(fedsign.cli, "decide", broken_decide)
+    assert main(["feasibility", str(path)]) == EXIT_INTERNAL
+    assert "internal error" in capsys.readouterr().err

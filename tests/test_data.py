@@ -11,7 +11,8 @@ from fedsign.data import (
     split,
     trigger_error,
 )
-from fedsign.errors import ShapeError
+from fedsign import io
+from fedsign.errors import FormatError, ShapeError
 from fedsign.nn import accuracy, build_cnn, build_mlp, fit
 
 
@@ -223,3 +224,10 @@ def test_trigger_roundtrip_keeps_provenance(tmp_path, image_cnn):
     np.testing.assert_array_equal(back.target_labels, ts.target_labels)
     assert back.provenance == "pgd"
     assert back.eps == 0.25
+
+
+def test_trigger_set_with_non_numeric_eps_is_format_error(tmp_path):
+    path = tmp_path / "trig.bin"
+    io.save_triggers(path, np.ones((1, 4)), np.array([1]), 2, {"provenance": "pattern", "eps": "abc"})
+    with pytest.raises(FormatError, match="eps"):
+        TriggerSet.load(path)

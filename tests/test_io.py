@@ -1,9 +1,17 @@
+import os
+import struct
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsign import io
+from fedsign.data import make_synthetic
 from fedsign.errors import FormatError
-from fedsign.nn import build_cnn, rng_for
+from fedsign.nn import build_cnn, build_mlp, rng_for
+from fedsign.watermark import keygen, save_key
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
@@ -91,3 +99,134 @@ def test_dataset_meta_roundtrip(tmp_path):
     inputs, labels, classes, meta = io.load_dataset(path)
     assert classes == 2
     assert meta == {"kind": "blobs", "note": "x"}
+
+
+# ---------------------------------------------------------------------------
+# atomic, private writes
+
+def _tiny_key(with_triggers):
+    ds = make_synthetic(4, 30, seed=2)
+    net = build_mlp(32, [16, 16], 4, seed=3)
+    return keygen(net, 1, 8, 6 if with_triggers else 0, "scale", seed=5, dataset=ds)
+
+
+def test_secret_files_are_private_from_creation_under_umask_zero(tmp_path, monkeypatch):
+    """Keyfiles and their trigger sets carry no group/other bits at any
+    moment: checked on the open temp file once all bytes are written."""
+    real_fsync = os.fsync
+    seen = []
+
+    def checking_fsync(fd):
+        seen.append(os.fstat(fd).st_mode & 0o777)
+        real_fsync(fd)
+
+    monkeypatch.setattr(io.os, "fsync", checking_fsync)
+    old = os.umask(0)
+    try:
+        save_key(_tiny_key(with_triggers=True), tmp_path / "c.key")
+        io.save_checkpoint(tmp_path / "model.bin", "mlp:4:4:2", 0, {})
+    finally:
+        os.umask(old)
+    assert seen == [0o600, 0o600, 0o644]  # triggers, keyfile, checkpoint
+    assert os.stat(tmp_path / "c.key").st_mode & 0o777 == 0o600
+    assert os.stat(tmp_path / "c.key.triggers").st_mode & 0o777 == 0o600
+    assert os.stat(tmp_path / "model.bin").st_mode & 0o777 == 0o644
+
+
+def test_failed_write_keeps_old_target_and_leaves_no_temp_file(tmp_path, monkeypatch):
+    path = tmp_path / "model.bin"
+    io.save_checkpoint(path, "mlp:4:4:2", 0, {(0, "bias"): np.zeros(4)})
+    before = path.read_bytes()
+
+    def failing_fsync(fd):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(io.os, "fsync", failing_fsync)
+    with pytest.raises(OSError, match="disk full"):
+        io.save_checkpoint(path, "mlp:4:4:2", 1, {(0, "bias"): np.ones(4)})
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["model.bin"]
+
+
+def test_write_atomic_replaces_whole_file(tmp_path):
+    path = tmp_path / "rows.csv"
+    io.write_atomic(path, "a,b\n" * 1000)
+    io.write_atomic(path, "c\n")
+    assert path.read_text() == "c\n"
+    assert os.listdir(tmp_path) == ["rows.csv"]
+
+
+# ---------------------------------------------------------------------------
+# hostile input: a value or a FormatError, nothing else
+
+def _array_header(*dims):
+    return struct.pack("<I", len(dims)) + b"".join(struct.pack("<q", d) for d in dims)
+
+
+def test_negative_array_dims_rejected(tmp_path):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(io.MAGIC + io.TAG_DATASET + struct.pack("<II", 1, 2) + _array_header(-1, -1))
+    with pytest.raises(FormatError, match="negative"):
+        io.load_dataset(path)
+
+
+@pytest.mark.parametrize("dims", [(2**62, 2**62), (0, 2**62, 2**62), (1,) * 70, (10**6,)])
+def test_oversized_array_dims_rejected(tmp_path, dims):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(io.MAGIC + io.TAG_DATASET + struct.pack("<II", 1, 2) + _array_header(*dims))
+    with pytest.raises(FormatError):
+        io.load_dataset(path)
+
+
+def test_invalid_utf8_string_rejected(tmp_path):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(io.MAGIC + io.TAG_CHECKPOINT + struct.pack("<II", 1, 2) + b"\xff\xfe")
+    with pytest.raises(FormatError, match="UTF-8"):
+        io.load_checkpoint(path)
+
+
+def _valid_artifacts():
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, name) for name in ("c", "k", "d", "t")]
+        io.save_checkpoint(paths[0], "mlp:2:2:2", 3, {(0, "bias"): np.arange(2.0)})
+        io.save_keyfile(paths[1], client_id=1, mode="kernel", seed=2,
+                        bits=np.array([1, -1], dtype=np.int8), selector=((0, "kernel"),),
+                        pool_size=2, matrix=np.eye(2), trigger_ref="x")
+        io.save_dataset(paths[2], np.ones((2, 3)), np.array([0, 1]), 2, {"kind": "blobs"})
+        io.save_triggers(paths[3], np.ones((1, 3)), np.array([1]), 2, {"eps": "0.1"})
+        return [open(p, "rb").read() for p in paths]
+
+
+VALID = _valid_artifacts()
+LOADERS = (io.load_checkpoint, io.load_keyfile, io.load_dataset, io.load_triggers)
+
+
+@st.composite
+def hostile_bytes(draw):
+    """Raw bytes, an envelope with a random tail, or a valid artifact with
+    overwritten bytes and an optional truncation."""
+    kind = draw(st.sampled_from(("raw", "envelope", "mutated")))
+    if kind == "raw":
+        return draw(st.binary(max_size=64))
+    if kind == "envelope":
+        tag = draw(st.sampled_from((io.TAG_CHECKPOINT, io.TAG_KEYFILE, io.TAG_DATASET,
+                                    io.TAG_TRIGGERS)))
+        return io.MAGIC + tag + struct.pack("<I", io.FORMAT_VERSION) + draw(st.binary(max_size=96))
+    data = bytearray(draw(st.sampled_from(VALID)))
+    for _ in range(draw(st.integers(1, 4))):
+        data[draw(st.integers(16, len(data) - 1))] = draw(st.integers(0, 255))
+    return bytes(data[:draw(st.integers(16, len(data)))])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=hostile_bytes())
+def test_loaders_return_a_value_or_format_error(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "artifact.bin")
+        with open(path, "wb") as f:
+            f.write(data)
+        for load in LOADERS:
+            try:
+                load(path)
+            except FormatError:
+                pass

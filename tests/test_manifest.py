@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsign.errors import ConfigError
-from fedsign.manifest import RunManifest, parse_manifest
+from fedsign.manifest import _SCALARS, RunManifest, load_manifest, parse_manifest
 
 FULL = """
 # experiment description
@@ -121,3 +123,44 @@ def test_arch_data_kind_match_accepted(arch, data_kind):
 def test_fraction_validated_through_fedconfig():
     with pytest.raises(ConfigError):
         parse_manifest("fraction = 0.0")
+
+
+# ---------------------------------------------------------------------------
+# hostile input: a manifest or a ConfigError, nothing else
+
+@pytest.mark.parametrize("text", [
+    "hidden = inf", "channels = nan", "embed.² = mode=scale",
+    "clients = 99999999999999999999", "embed.99999999999999999999 = mode=scale",
+    "seed = " + "9" * 5000,
+])
+def test_unparseable_values_are_config_errors(text):
+    with pytest.raises(ConfigError):
+        parse_manifest(text)
+
+
+def test_non_utf8_manifest_is_config_error(tmp_path):
+    path = tmp_path / "bad.manifest"
+    path.write_bytes(b"seed = \xff\xfe\n")
+    with pytest.raises(ConfigError, match="UTF-8"):
+        load_manifest(path)
+
+
+KEYS = sorted(_SCALARS) + ["embed.0", "embed.1", "embed.x", "embed.", "embed.²", "embed.9" * 9]
+VALUES = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(["0", "-1", "1e400", "inf", "nan", "2.5", "3,4", "16,,2", "mlp", "cnn",
+                     "9" * 20, "mode=kernel bits=4", "bits=-3 beta=1", "alpha=1 triggers=0"]),
+)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(text=st.one_of(
+    st.text(max_size=80),
+    st.lists(st.tuples(st.sampled_from(KEYS), VALUES), max_size=6).map(
+        lambda pairs: "\n".join(f"{k} = {v}" for k, v in pairs)),
+))
+def test_parse_manifest_returns_a_manifest_or_config_error(text):
+    try:
+        assert isinstance(parse_manifest(text), RunManifest)
+    except ConfigError:
+        pass

@@ -300,3 +300,23 @@ def test_fit_learns_separable_data():
     net = build_mlp(4, [8], 2, seed=13)
     fit(net, x, y, epochs=30, lr=0.05, seed=1)
     assert accuracy(net, x, y) >= 0.95
+
+
+# ---------------------------------------------------------------------------
+# seed streams
+
+def test_rng_for_numpy_ints_draw_like_python_ints():
+    assert rng_for(np.int64(5), "x").integers(0, 2**31) == rng_for(5, "x").integers(0, 2**31)
+    assert rng_for(np.uint8(7)).normal() == rng_for(7).normal()
+    assert rng_for((np.int32(7), "data"), "x").normal() == rng_for((7, "data"), "x").normal()
+
+
+def test_rng_for_python_int_streams_are_pinned():
+    assert rng_for(5).integers(0, 2**31) == 1969731490
+    assert rng_for(5, "x").integers(0, 2**31) == 2114053720
+
+
+@pytest.mark.parametrize("part", [1.0, np.float64(2.0), None, b"x", [1, 2], (1, 2.0)])
+def test_rng_for_rejects_parts_that_are_not_int_or_str(part):
+    with pytest.raises(TypeError):
+        rng_for(3, part)
