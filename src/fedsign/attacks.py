@@ -39,16 +39,9 @@ def prune(params, rate, seed, roles=("kernel",)):
     if not 0.0 <= rate <= 1.0:
         raise ShapeError("pruning rate must be in [0, 1]")
     out = params.clone()
-    keys = [k for k in out.sorted_keys() if k[1] in roles]
-    sizes = [out[k].size for k in keys]
-    total = sum(sizes)
-    n_zero = round(rate * total)
-    picks = rng_for(seed, "prune").choice(total, size=n_zero, replace=False)
-    picks.sort()
-    bounds = np.cumsum([0] + sizes)
-    for k, lo, hi in zip(keys, bounds[:-1], bounds[1:]):
-        local = picks[(picks >= lo) & (picks < hi)] - lo
-        out[k].flat[local] = 0.0
+    idx = out.layout.role_index(roles)
+    picks = rng_for(seed, "prune").choice(idx.size, size=round(rate * idx.size), replace=False)
+    out.vec[idx[picks]] = 0.0
     return out
 
 

@@ -3,8 +3,9 @@ sampling, optional Gaussian noise on uploads, and data-size weighted
 averaging.
 
 The aggregation path only ever sees ``(client_id, ModelParams, n_k)``
-tuples; watermark keys and trigger sets live inside ``ClientState`` and
-are never passed to the server-side functions.
+tuples, each update one parameter vector with its layout; watermark keys
+and trigger sets live inside ``ClientState`` and are never passed to the
+server-side functions.
 """
 
 import math
@@ -16,7 +17,7 @@ import numpy as np
 from .data import Dataset, Shard
 from .errors import ConfigError, StateError
 from .io import write_atomic
-from .nn import TRAINABLE_ROLES, Network, accuracy, rng_for, sgd_epochs
+from .nn import TRAINABLE_ROLES, ModelParams, Network, accuracy, rng_for, sgd_epochs
 from .watermark import WatermarkKey, bce_reg, hinge_reg, keygen, verify_black, verify_white
 
 
@@ -125,7 +126,8 @@ def client_update(state, global_params, cfg, round_index=0):
     if state.beta > 0:
         def reg(params):
             loss, grads = feature_reg(params, state.key)
-            return loss, state.beta * grads
+            grads.vec *= state.beta
+            return loss, grads
     # the shuffle stream is shared across clients so that identical shards
     # under identical configs produce identical updates
     losses = sgd_epochs(net, state.data.inputs, state.data.labels, cfg.local_epochs,
@@ -142,11 +144,9 @@ def add_dp_noise(update, sigma, seed):
     passes."""
     if sigma == 0.0:
         return update
-    rng = rng_for(seed, "dp-noise")
     out = update.clone()
-    for (idx, role), arr in sorted(out.items()):
-        if role in TRAINABLE_ROLES:
-            arr += rng.normal(0.0, sigma, size=arr.shape)
+    idx = out.layout.role_index(TRAINABLE_ROLES)
+    out.vec[idx] += rng_for(seed, "dp-noise").normal(0.0, sigma, size=idx.size)
     return out
 
 
@@ -169,14 +169,13 @@ def aggregate(updates):
         raise StateError("nothing to aggregate")
     updates = sorted(updates, key=lambda u: u[0])
     total = sum(n_k for _, _, n_k in updates)
-    keys = updates[0][1].entries.keys()
-    for _, params, _ in updates:
-        if params.entries.keys() != keys:
-            raise StateError("update key sets differ")
-    acc = updates[0][1] * (updates[0][2] / total)
+    layout = updates[0][1].layout
+    if any(params.layout != layout for _, params, _ in updates):
+        raise StateError("update layouts differ")
+    acc = updates[0][1].vec * (updates[0][2] / total)
     for _, params, n_k in updates[1:]:
-        acc = acc + params * (n_k / total)
-    return acc
+        acc += params.vec * (n_k / total)
+    return ModelParams.wrap(layout, acc)
 
 
 # ---------------------------------------------------------------------------

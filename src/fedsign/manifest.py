@@ -7,7 +7,6 @@ grids.  Parsing is strict: unknown keys are rejected by name.  The full
 schema is documented in docs/FORMATS.md.
 """
 
-import math
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError
@@ -97,18 +96,12 @@ def _parse_value(key, raw, kind):
     return value
 
 
-def _parse_floats(key, raw):
+def _parse_list(key, raw, kind):
+    """Comma-separated values, each parsed as `kind`."""
     raw = raw.strip()
     if not raw:
         return ()
-    return tuple(_parse_value(key, part.strip(), float) for part in raw.split(","))
-
-
-def _parse_ints(key, raw):
-    values = _parse_floats(key, raw)
-    if not all(math.isfinite(v) for v in values):
-        raise ConfigError(f"manifest key {key!r}: {raw!r} is not a list of integers")
-    return tuple(int(v) for v in values)
+    return tuple(_parse_value(key, part.strip(), kind) for part in raw.split(","))
 
 
 def _parse_embed(key, raw):
@@ -168,13 +161,13 @@ def parse_manifest(text):
                      "dp_sigma", "seed"):
             fed_kw[key] = value
         elif key == "hidden":
-            m = replace(m, hidden=_parse_ints(key, value))
+            m = replace(m, hidden=_parse_list(key, value, int))
         elif key == "channels":
-            m = replace(m, channels=_parse_ints(key, value))
+            m = replace(m, channels=_parse_list(key, value, int))
         elif key == "attack.prune":
-            m = replace(m, attack_prune=_parse_floats(key, value))
+            m = replace(m, attack_prune=_parse_list(key, value, float))
         elif key == "attack.finetune_epochs":
-            m = replace(m, attack_finetune_epochs=_parse_ints(key, value))
+            m = replace(m, attack_finetune_epochs=_parse_list(key, value, int))
         elif key == "attack.finetune_lr":
             m = replace(m, attack_finetune_lr=value)
         elif key == "attack.seed":
@@ -182,7 +175,7 @@ def parse_manifest(text):
         elif key == "sweep.kind":
             m = replace(m, sweep_kind=value)
         elif key == "sweep.values":
-            m = replace(m, sweep_values=_parse_floats(key, value))
+            m = replace(m, sweep_values=_parse_list(key, value, float))
         elif key == "sweep.seeds":
             m = replace(m, sweep_seeds=value)
         else:

@@ -31,12 +31,6 @@ class ExperimentSummary:
     n_seeds: int
     capacity_mark: Optional[int] = None
 
-    def mean_at(self, value):
-        for v, mean, _ in self.points:
-            if v == value:
-                return mean
-        raise KeyError(f"no sweep point at {value}")
-
 
 def derive_seeds(master, count):
     return [int(rng_for(master, "sweep-seed", i).integers(0, 2**31))

@@ -4,15 +4,24 @@ Everything is float64.  A network is an ordered list of layers; parameters
 are addressed by ``(layer_index, role)`` where role is one of ``kernel``,
 ``scale``, ``bias`` (trainable) or ``running_mean`` / ``running_var``
 (normalization statistics, carried along with zero gradient).
+
+A network's parameters live in one contiguous vector, and every layer
+tensor is a reshaped view into it.  The vector holds the tensors in sorted
+``(layer_index, role)`` order, each C-ordered: the order in which a
+checkpoint file stores them.  Gradients use the same layout, so the
+optimizer step, federated averaging, upload noise and signature extraction
+are each one vector or index operation.
 """
 
+import functools
 import hashlib
+import math
 import numbers
 
 import numpy as np
 
 from . import kernels
-from .errors import ShapeError, StateError
+from .errors import KeyMismatchError, ShapeError, StateError
 
 TRAINABLE_ROLES = ("kernel", "scale", "bias")
 
@@ -36,83 +45,83 @@ def rng_for(*parts):
 # ---------------------------------------------------------------------------
 # parameter collections
 
-class ModelParams:
-    """Named collection of parameter tensors keyed by (layer_index, role).
+class Layout:
+    """Where each (layer_index, role) tensor lives in one flat float64
+    vector: keys in sorted order, each tensor C-ordered at its offset.
+    This is the tensor order of a checkpoint file."""
 
-    Supports the vector-space operations federated averaging needs and a
-    bit-exact flatten/unflatten round trip (keys in sorted order).
+    def __init__(self, shapes):
+        self.shapes = shapes  # sorted ((layer_index, role), shape) pairs
+        self.slices = {}
+        pos = 0
+        for key, shape in self.shapes:
+            stop = pos + math.prod(shape)
+            self.slices[key] = slice(pos, stop)
+            pos = stop
+        self.size = pos
+        self._index = {}
+
+    def index(self, keys):
+        """Vector positions of the tensors `keys`, concatenated in that
+        order (cached per key tuple)."""
+        idx = self._index.get(keys)
+        if idx is None:
+            for key in keys:
+                if key not in self.slices:
+                    raise KeyMismatchError(f"selector entry {key} not present in parameters")
+            idx = np.concatenate([np.arange(self.slices[k].start, self.slices[k].stop)
+                                  for k in keys] + [np.zeros(0, dtype=np.intp)])
+            self._index[keys] = idx
+        return idx
+
+    def role_index(self, roles):
+        """Vector positions of every tensor whose role is in `roles`."""
+        return self.index(tuple(k for k, _ in self.shapes if k[1] in roles))
+
+
+@functools.cache
+def _layout(shapes):
+    """One Layout per distinct shape list: equal layouts are one object,
+    compared by identity, and share their index caches."""
+    return Layout(shapes)
+
+
+class ModelParams:
+    """Parameter tensors keyed by (layer_index, role), stored as views into
+    one float64 vector `vec` laid out by `layout`.
+
+    ``ModelParams(entries)`` packs a {key: array} dict (a checkpoint's) into
+    a new vector; ``ModelParams.wrap(layout, vec)`` adopts `vec` uncopied.
     """
 
     def __init__(self, entries):
-        self.entries = dict(entries)
+        self.layout = _layout(tuple(sorted((k, v.shape) for k, v in entries.items())))
+        # the empty float64 head makes the vector float64 even with no entries
+        self.vec = np.concatenate([np.zeros(0)] + [entries[k].ravel()
+                                                   for k, _ in self.layout.shapes])
+
+    @classmethod
+    def wrap(cls, layout, vec):
+        mp = cls.__new__(cls)
+        mp.layout, mp.vec = layout, vec
+        return mp
+
+    @functools.cached_property
+    def entries(self):
+        """{key: view into vec}, in layout order."""
+        return {k: self.vec[self.layout.slices[k]].reshape(shape)
+                for k, shape in self.layout.shapes}
 
     def __getitem__(self, key):
         return self.entries[key]
 
-    def __setitem__(self, key, value):
-        self.entries[key] = value
-
-    def __contains__(self, key):
-        return key in self.entries
-
-    def __len__(self):
-        return len(self.entries)
-
-    def keys(self):
-        return self.entries.keys()
-
-    def items(self):
-        return self.entries.items()
-
-    def sorted_keys(self):
-        return sorted(self.entries)
-
     def clone(self):
-        return ModelParams({k: v.copy() for k, v in self.entries.items()})
-
-    def zeros_like(self):
-        return ModelParams({k: np.zeros_like(v) for k, v in self.entries.items()})
-
-    def _check_keys(self, other):
-        if self.entries.keys() != other.entries.keys():
-            raise StateError("parameter key sets differ")
-
-    def __add__(self, other):
-        self._check_keys(other)
-        return ModelParams({k: v + other.entries[k] for k, v in self.entries.items()})
-
-    def __sub__(self, other):
-        self._check_keys(other)
-        return ModelParams({k: v - other.entries[k] for k, v in self.entries.items()})
-
-    def __mul__(self, c):
-        return ModelParams({k: v * float(c) for k, v in self.entries.items()})
-
-    __rmul__ = __mul__
-
-    def flatten(self):
-        return np.concatenate([self.entries[k].ravel() for k in self.sorted_keys()])
-
-    def unflatten(self, vec):
-        """Inverse of flatten, using self as the shape template."""
-        out = {}
-        pos = 0
-        for k in self.sorted_keys():
-            a = self.entries[k]
-            out[k] = vec[pos:pos + a.size].reshape(a.shape).copy()
-            pos += a.size
-        if pos != vec.size:
-            raise ShapeError(f"flat vector has {vec.size} entries, expected {pos}")
-        return ModelParams(out)
-
-    def allclose(self, other, rtol=1e-9, atol=0.0):
-        self._check_keys(other)
-        return all(np.allclose(v, other.entries[k], rtol=rtol, atol=atol)
-                   for k, v in self.entries.items())
+        return ModelParams.wrap(self.layout, self.vec.copy())
 
     def equal(self, other):
-        self._check_keys(other)
-        return all(np.array_equal(v, other.entries[k]) for k, v in self.entries.items())
+        if self.layout != other.layout:
+            raise StateError("parameter layouts differ")
+        return np.array_equal(self.vec, other.vec)
 
 
 # ---------------------------------------------------------------------------
@@ -120,16 +129,14 @@ class ModelParams:
 
 class Layer:
     kind = None
-
-    def params(self):
-        """Live references to this layer's parameter arrays, keyed by role."""
-        return {}
+    ROLES = {}  # parameter role -> attribute holding that tensor
 
     def forward(self, x, train):
         raise NotImplementedError
 
     def backward(self, dy):
-        """Returns (dx, {role: grad}) for the most recent forward."""
+        """Returns (dx, {role: grad}) for the most recent forward; roles
+        left out have zero gradient."""
         raise NotImplementedError
 
     def _need_cache(self):
@@ -139,14 +146,12 @@ class Layer:
 
 class Dense(Layer):
     kind = "dense"
+    ROLES = {"kernel": "w", "bias": "b"}
 
     def __init__(self, n_in, n_out, rng):
         self.w = rng.normal(0.0, np.sqrt(2.0 / n_in), size=(n_in, n_out))
         self.b = np.zeros(n_out)
         self._cache = None
-
-    def params(self):
-        return {"kernel": self.w, "bias": self.b}
 
     def forward(self, x, train):
         flat = x.reshape(x.shape[0], -1)
@@ -166,15 +171,13 @@ class Dense(Layer):
 
 class Conv2d(Layer):
     kind = "conv2d"
+    ROLES = {"kernel": "w", "bias": "b"}
 
     def __init__(self, c_in, c_out, ksize, rng):
         fan_in = c_in * ksize * ksize
         self.w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(ksize, ksize, c_in, c_out))
         self.b = np.zeros(c_out)
         self._cache = None
-
-    def params(self):
-        return {"kernel": self.w, "bias": self.b}
 
     def forward(self, x, train):
         if x.ndim != 4 or x.shape[3] != self.w.shape[2]:
@@ -197,6 +200,8 @@ class ScaleNorm(Layer):
     """
 
     kind = "scale-norm"
+    ROLES = {"scale": "gamma", "bias": "beta",
+             "running_mean": "running_mean", "running_var": "running_var"}
     EPS = 1e-5
     MOMENTUM = 0.9
 
@@ -206,10 +211,6 @@ class ScaleNorm(Layer):
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
         self._cache = None
-
-    def params(self):
-        return {"scale": self.gamma, "bias": self.beta,
-                "running_mean": self.running_mean, "running_var": self.running_var}
 
     def forward(self, x, train):
         if x.shape[-1] != self.gamma.size:
@@ -243,10 +244,7 @@ class ScaleNorm(Layer):
                                - xhat * (dxhat * xhat).sum(axis=axes))
         else:
             dx = dxhat * ivar
-        grads = {"scale": dgamma, "bias": dbeta,
-                 "running_mean": np.zeros_like(self.running_mean),
-                 "running_var": np.zeros_like(self.running_var)}
-        return dx, grads
+        return dx, {"scale": dgamma, "bias": dbeta}
 
 
 class Relu(Layer):
@@ -302,7 +300,12 @@ class SoftmaxLayer(Layer):
 # network
 
 class Network:
-    """Ordered layer stack with a flat (layer_index, role) parameter view."""
+    """Ordered layer stack whose parameters live in one vector.
+
+    `params` packs every layer's initial tensors into one ModelParams and
+    rebinds each layer attribute to its view, so the layers compute on the
+    vector that the optimizer, aggregation and extraction read and write.
+    """
 
     def __init__(self, layers, input_shape, n_classes, descriptor):
         self.layers = list(layers)
@@ -310,28 +313,19 @@ class Network:
         self.n_classes = n_classes
         self.descriptor = descriptor
         self._forward_done = False
-
-    def param_items(self):
-        for idx, layer in enumerate(self.layers):
-            for role, arr in layer.params().items():
-                yield (idx, role), arr
-
-    @property
-    def params(self):
-        """ModelParams view over the live parameter arrays (no copy)."""
-        return ModelParams(dict(self.param_items()))
+        self.params = ModelParams({(i, role): getattr(layer, attr)
+                                   for i, layer in enumerate(self.layers)
+                                   for role, attr in layer.ROLES.items()})
+        for (i, role), view in self.params.entries.items():
+            setattr(self.layers[i], self.layers[i].ROLES[role], view)
 
     def get_params(self):
         return self.params.clone()
 
     def set_params(self, mp):
-        live = dict(self.param_items())
-        if live.keys() != mp.entries.keys():
-            raise StateError("parameter key sets differ from this network's")
-        for k, arr in live.items():
-            if arr.shape != mp[k].shape:
-                raise StateError(f"shape mismatch for {k}")
-            np.copyto(arr, mp[k])
+        if mp.layout != self.params.layout:
+            raise StateError("parameter layout differs from this network's")
+        np.copyto(self.params.vec, mp.vec)
 
     def forward(self, x, train=False):
         x = np.asarray(x, dtype=np.float64)
@@ -350,14 +344,15 @@ class Network:
         """
         if not self._forward_done:
             raise StateError("backward called before forward")
-        grads = {}
+        layout = self.params.layout
+        grads = np.zeros(layout.size)
         dy = dlogits
         for idx in range(len(self.layers) - 1, -1, -1):
             dy, layer_grads = self.layers[idx].backward(dy)
             for role, g in layer_grads.items():
-                grads[(idx, role)] = g
+                grads[layout.slices[(idx, role)]] = g.ravel()
         self.input_grad = dy
-        return ModelParams(grads)
+        return ModelParams.wrap(layout, grads)
 
     def predict(self, x):
         return self.forward(x, train=False).argmax(axis=1)
@@ -420,19 +415,20 @@ def accuracy(net, inputs, labels):
 # optimization
 
 class SgdMomentum:
-    """Plain momentum SGD: v <- m*v + g ; p <- p - lr*v."""
+    """Plain momentum SGD on the whole vector: v <- m*v + g ; p <- p - lr*v.
+    Normalization statistics have zero gradient, so they stay put."""
 
     def __init__(self, params, momentum=0.9):
-        self.velocity = params.zeros_like()
+        self.velocity = np.zeros(params.layout.size)
         self.momentum = momentum
 
     def step(self, params, grads, lr):
-        if params.entries.keys() != grads.entries.keys():
-            raise StateError("gradient key set differs from parameters")
-        for k, v in self.velocity.entries.items():
-            v *= self.momentum
-            v += grads[k]
-            params[k] -= lr * v
+        if params.layout != grads.layout:
+            raise StateError("gradient layout differs from parameters")
+        v = self.velocity
+        v *= self.momentum
+        v += grads.vec
+        params.vec -= lr * v
 
 
 def sgd_epochs(net, inputs, labels, epochs, lr, momentum, batch, stream,
@@ -470,7 +466,7 @@ def sgd_epochs(net, inputs, labels, epochs, lr, momentum, batch, stream,
             feat = 0.0
             if reg is not None:
                 feat, reg_grads = reg(net.params)
-                grads = grads + reg_grads
+                grads.vec += reg_grads.vec
             opt.step(net.params, grads, lr)
             losses[:, epoch, b] = main, trig, feat
         lr *= lr_decay

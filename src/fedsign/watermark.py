@@ -1,10 +1,13 @@
 """Per-client ownership signatures: key generation, embedding regularizers
-with exact gradients, and white-box / black-box / aggregated verification.
+with exact gradients, and white-box / black-box verification.
 
 A signature is a vector of target bits in {-1,+1}.  White-box extraction
 reads values b = w^T E from a selected parameter pool w (normalization
 scales or a kernel weight tensor) through a secret extraction key E, and
-decodes bits as their signs.  Two embedding regularizers are supported:
+decodes bits as their signs.  The pool is a gather from the model's
+parameter vector through an index that the layout caches per selector, and
+a regularizer's gradient is that vector's zeros with the pool's entries
+added in.  Two embedding regularizers are supported:
 
 * hinge:  sum_j max(margin - t_j * b_j, 0)   (zero iff every bit holds
   with the given margin),
@@ -24,8 +27,8 @@ import numpy as np
 
 from . import io
 from .data import TriggerSet, forge_pattern_triggers, forge_pgd_triggers, trigger_error
-from .errors import CapacityError, KeyMismatchError, ShapeError
-from .nn import rng_for
+from .errors import CapacityError, FormatError, KeyMismatchError, ShapeError
+from .nn import ModelParams, rng_for
 
 DEFAULT_MARGIN = 0.1
 DEFAULT_EPS_Y = 0.2
@@ -86,12 +89,11 @@ class WatermarkKey:
 
 @dataclass
 class VerificationResult:
-    mode: str  # white | black | aggregated
+    mode: str  # white | black
     detection_rate: float
     verdict: bool
     hamming: Optional[int] = None
     trigger_error: Optional[float] = None
-    degenerate: bool = False
 
     def summary(self):
         parts = [f"mode={self.mode}", f"detection_rate={self.detection_rate:.4f}"]
@@ -100,17 +102,11 @@ class VerificationResult:
         if self.trigger_error is not None:
             parts.append(f"trigger_error={self.trigger_error:.4f}")
         parts.append("PASS" if self.verdict else "FAIL")
-        if self.degenerate:
-            parts.append("(degenerate: no keys)")
         return " ".join(parts)
 
 
 def bits_to_binary(bits):
     return ((np.asarray(bits) + 1) // 2).astype(np.int8)
-
-
-def binary_to_bits(binary):
-    return (2 * np.asarray(binary) - 1).astype(np.int8)
 
 
 # ---------------------------------------------------------------------------
@@ -137,23 +133,7 @@ def default_selector(net, mode):
 
 def flatten_selected(params, selector):
     """Columnized vector of the selected parameter pool, in selector order."""
-    parts = []
-    for key in selector:
-        if key not in params:
-            raise KeyMismatchError(f"selector entry {key} not present in parameters")
-        parts.append(params[key].ravel())
-    return np.concatenate(parts)
-
-
-def _scatter_selected(params, selector, flat):
-    """Zero gradient ModelParams with `flat` distributed over the selected pool."""
-    grads = params.zeros_like()
-    pos = 0
-    for key in selector:
-        arr = grads[key]
-        arr += flat[pos:pos + arr.size].reshape(arr.shape)
-        pos += arr.size
-    return grads
+    return params.vec[params.layout.index(selector)]
 
 
 # ---------------------------------------------------------------------------
@@ -235,12 +215,14 @@ def read_bits(values):
 
 
 def _bit_grad_to_params(params, extractor, dloss_db):
+    """d loss / d params from d loss / d b: zero outside the key's pool."""
+    pool = params.layout.index(extractor.selector)
+    grad = np.zeros(params.layout.size)
     if extractor.coords is not None:
-        flat = np.zeros(extractor.pool_size)
-        np.add.at(flat, extractor.coords, dloss_db)
+        np.add.at(grad, pool[extractor.coords], dloss_db)
     else:
-        flat = extractor.matrix @ dloss_db
-    return _scatter_selected(params, extractor.selector, flat)
+        np.add.at(grad, pool, extractor.matrix @ dloss_db)
+    return ModelParams.wrap(params.layout, grad)
 
 
 def hinge_reg(params, key):
@@ -286,32 +268,6 @@ def verify_black(net, triggers, eps_y=DEFAULT_EPS_Y):
     return VerificationResult("black", 1.0 - err, err <= eps_y, trigger_error=err)
 
 
-def verify_aggregated(net, params, keys, eps_h=None, eps_y=DEFAULT_EPS_Y):
-    """Server-side conjunction over all registered clients: every white
-    check and every black check must pass.  An empty key set is vacuously
-    TRUE and flagged degenerate."""
-    keys = list(keys)
-    if not keys:
-        return VerificationResult("aggregated", 1.0, True, degenerate=True)
-    hamming = 0
-    total_bits = 0
-    errors = []
-    verdict = True
-    for key in keys:
-        white = verify_white(params, key, eps_h)
-        hamming += white.hamming
-        total_bits += key.n_bits
-        verdict &= white.verdict
-        if key.triggers is not None:
-            black = verify_black(net, key.triggers, eps_y)
-            errors.append(black.trigger_error)
-            verdict &= black.verdict
-    eta = 1.0 - hamming / total_bits
-    trig = float(np.mean(errors)) if errors else None
-    return VerificationResult("aggregated", eta, bool(verdict), hamming=hamming,
-                              trigger_error=trig)
-
-
 # ---------------------------------------------------------------------------
 # keyfile serialization
 
@@ -331,8 +287,26 @@ def save_key(key, path, trigger_path=None):
         matrix=key.extractor.matrix, trigger_ref=ref, margin=key.margin)
 
 
+def _check_key(raw):
+    """Reject a keyfile whose bits and extractor do not fit each other and
+    the pool (FormatError), before anything indexes with them."""
+    bits, pool, coords, matrix = raw["bits"], raw["pool_size"], raw["coords"], raw["matrix"]
+    if bits.ndim != 1 or not bits.size or (np.abs(bits) != 1).any():
+        raise FormatError("keyfile bits must be a non-empty list of -1/+1")
+    if coords is not None:
+        if coords.shape != bits.shape:
+            raise FormatError(f"keyfile has {coords.size} coords for {bits.size} bits")
+        c = np.sort(coords)
+        if c[0] < 0 or c[-1] >= pool or (c[1:] == c[:-1]).any():
+            raise FormatError(f"keyfile coords must be distinct and in [0, {pool})")
+    elif matrix.shape != (pool, bits.size) or not np.isfinite(matrix).all():
+        raise FormatError(f"keyfile matrix must be a finite ({pool}, {bits.size}) array, "
+                          f"got shape {matrix.shape}")
+
+
 def load_key(path):
     raw = io.load_keyfile(path)
+    _check_key(raw)
     extractor = ExtractionKey(raw["selector"], raw["pool_size"],
                               coords=raw["coords"], matrix=raw["matrix"])
     triggers = None

@@ -47,7 +47,7 @@ def random_instance(rng, m=None, cols=None):
 def fd_param_grad(net, x, labels, key, flat_idx, h=1e-6):
     """Central finite difference of the cross-entropy loss w.r.t. one
     parameter coordinate, probed through a train-mode forward pass."""
-    arr = dict(net.param_items())[key]
+    arr = net.params[key]  # a view: writing it moves the network's weights
     orig = arr.flat[flat_idx]
     arr.flat[flat_idx] = orig + h
     up, _ = cross_entropy(net.forward(x, train=True), labels)
@@ -67,11 +67,10 @@ def gradcheck(net, x, labels, rng, coords_per_key=20, tol=1e-4):
     _, dlogits = cross_entropy(logits, labels)
     grads = net.backward(dlogits)
     worst = 0.0
-    for key in grads.sorted_keys():
+    for key, arr in grads.entries.items():
         if key[1] in ("running_mean", "running_var"):
-            assert not grads[key].any()
+            assert not arr.any()
             continue
-        arr = grads[key]
         n = min(coords_per_key, arr.size)
         for flat_idx in rng.choice(arr.size, size=n, replace=False):
             fd = fd_param_grad(net, x, labels, key, flat_idx)

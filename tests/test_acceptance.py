@@ -129,7 +129,7 @@ def test_criterion_01_gradient_correctness():
                     continue  # keep probes off the hinge kink
             _, grads = reg(params, key)
             for sel_key in key.extractor.selector:
-                arr = dict(net.param_items())[sel_key]
+                arr = net.params[sel_key]
                 for idx in rng.choice(arr.size, size=min(20, arr.size), replace=False):
                     orig = arr.flat[idx]
                     arr.flat[idx] = orig + 1e-6

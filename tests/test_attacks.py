@@ -49,7 +49,7 @@ def test_prune_zero_rate_is_identity():
 def test_prune_full_rate_zeroes_all_kernels():
     p = params_of()
     out = prune(p, 1.0, seed=1)
-    for (idx, role), arr in out.items():
+    for (idx, role), arr in out.entries.items():
         if role == "kernel":
             assert not arr.any()
         else:
@@ -58,11 +58,11 @@ def test_prune_full_rate_zeroes_all_kernels():
 
 def test_prune_count_is_exact():
     p = params_of()
-    total = sum(v.size for (i, r), v in p.items() if r == "kernel")
+    total = sum(v.size for (i, r), v in p.entries.items() if r == "kernel")
     for rate in (0.1, 0.33, 0.5, 0.77):
         out = prune(p, rate, seed=2)
         zeroed = sum(int((out[k] == 0).sum()) - int((p[k] == 0).sum())
-                     for k in p.sorted_keys() if k[1] == "kernel")
+                     for k in p.entries if k[1] == "kernel")
         assert zeroed == round(rate * total)
 
 
@@ -74,8 +74,8 @@ def test_prune_deterministic():
 def test_prune_composition_zeroes_at_least_max_fraction():
     p = params_of()
     out = prune(prune(p, 0.6, seed=1), 0.3, seed=2)
-    total = sum(v.size for (i, r), v in p.items() if r == "kernel")
-    zeroed = sum(int((out[k] == 0).sum()) for k in p.sorted_keys() if k[1] == "kernel")
+    total = sum(v.size for (i, r), v in p.entries.items() if r == "kernel")
+    zeroed = sum(int((out[k] == 0).sum()) for k in p.entries if k[1] == "kernel")
     assert zeroed >= round(0.6 * total)
 
 

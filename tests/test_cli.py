@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import fedsign.cli
+from fedsign import io
 from fedsign.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_VERIFY_FAILED, main
 from fedsign.nn import build_mlp
 from fedsign.watermark import ExtractionKey, WatermarkKey, keygen, save_key
@@ -131,6 +132,37 @@ def test_verify_mismatched_pool_is_input_error(tmp_path, trained, capsys):
     save_key(key, path)
     code = main(["verify", str(out / "checkpoint.bin"), str(path)])
     assert code == EXIT_INPUT
+
+
+def _write_keyfile(path, bits, coords=None, matrix=None):
+    """A scale keyfile on the 4-channel pool of build_mlp(8, [4], 3)."""
+    io.save_keyfile(path, client_id=0, mode="scale", seed=0, bits=np.array(bits, np.int8),
+                    selector=((1, "scale"),), pool_size=4,
+                    coords=None if coords is None else np.array(coords),
+                    matrix=matrix)
+
+
+MISFIT_KEYS = {
+    "coord-past-pool": dict(bits=[1, -1], coords=[0, 9]),
+    "negative-coord": dict(bits=[1, -1], coords=[-1, 2]),
+    "repeated-coord": dict(bits=[1, -1], coords=[2, 2]),
+    "fewer-coords-than-bits": dict(bits=[1, -1, 1], coords=[0, 1]),
+    "matrix-rows-not-pool": dict(bits=[1, -1], matrix=np.ones((3, 2))),
+    "matrix-cols-not-bits": dict(bits=[1, -1], matrix=np.ones((4, 3))),
+    "matrix-not-finite": dict(bits=[1, -1], matrix=np.full((4, 2), np.nan)),
+    "bit-not-sign": dict(bits=[1, 0], coords=[0, 1]),
+}
+
+
+@pytest.mark.parametrize("fields", MISFIT_KEYS.values(), ids=list(MISFIT_KEYS))
+def test_keyfile_extractor_misfit_is_input_error(tmp_path, capsys, fields):
+    net = build_mlp(8, [4], 3, seed=0)
+    ckpt, key = tmp_path / "ckpt.bin", tmp_path / "bad.key"
+    io.save_checkpoint(ckpt, net.descriptor, 0, net.params.entries)
+    _write_keyfile(key, **fields)
+    assert main(["verify", str(ckpt), str(key)]) == EXIT_INPUT
+    assert main(["feasibility", str(key)]) == EXIT_INPUT
+    assert "keyfile" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

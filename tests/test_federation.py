@@ -90,7 +90,8 @@ def test_poisoned_regularized_client_update_replays(loss):
             d_trig *= state.alpha / 3
             grads = replay.backward(np.concatenate([d_main, d_trig]))
             feat, reg_grads = reg(replay.params, state.key)
-            opt.step(replay.params, grads + state.beta * reg_grads, lr)
+            grads.vec += state.beta * reg_grads.vec
+            opt.step(replay.params, grads, lr)
             seen["main"].append(main)
             seen["trigger"].append(trig_loss)
             seen["feature"].append(feat)
@@ -324,4 +325,4 @@ def test_fedavg_preserves_key_sets_and_shapes():
     start = net.get_params()
     final, _ = run_federation(cfg, clients, net)
     assert final.entries.keys() == start.entries.keys()
-    assert all(final[k].shape == start[k].shape for k in final.keys())
+    assert all(final[k].shape == start[k].shape for k in final.entries)

@@ -131,7 +131,7 @@ def test_fraction_validated_through_fedconfig():
 @pytest.mark.parametrize("text", [
     "hidden = inf", "channels = nan", "embed.² = mode=scale",
     "clients = 99999999999999999999", "embed.99999999999999999999 = mode=scale",
-    "seed = " + "9" * 5000,
+    "seed = " + "9" * 5000, "hidden = 16.7,2.2", "attack.finetune_epochs = 0.5",
 ])
 def test_unparseable_values_are_config_errors(text):
     with pytest.raises(ConfigError):
@@ -148,7 +148,7 @@ def test_non_utf8_manifest_is_config_error(tmp_path):
 KEYS = sorted(_SCALARS) + ["embed.0", "embed.1", "embed.x", "embed.", "embed.²", "embed.9" * 9]
 VALUES = st.one_of(
     st.text(max_size=12),
-    st.sampled_from(["0", "-1", "1e400", "inf", "nan", "2.5", "3,4", "16,,2", "mlp", "cnn",
+    st.sampled_from(["0", "-1", "1e400", "inf", "nan", "2.5", "3,4", "16,,2", "16.7,2.2", "mlp", "cnn",
                      "9" * 20, "mode=kernel bits=4", "bits=-3 beta=1", "alpha=1 triggers=0"]),
 )
 
@@ -164,3 +164,19 @@ def test_parse_manifest_returns_a_manifest_or_config_error(text):
         assert isinstance(parse_manifest(text), RunManifest)
     except ConfigError:
         pass
+
+
+INT_LISTS = {"hidden": "hidden", "channels": "channels",
+             "attack.finetune_epochs": "attack_finetune_epochs"}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(key=st.sampled_from(sorted(INT_LISTS)),
+       numbers=st.lists(st.one_of(st.integers(-3, 99), st.floats()), min_size=1, max_size=3))
+def test_integer_lists_hold_exactly_the_integers_written(key, numbers):
+    try:
+        m = parse_manifest(f"{key} = {','.join(map(str, numbers))}")
+    except ConfigError:
+        return
+    assert all(type(n) is int for n in numbers)
+    assert getattr(m, INT_LISTS[key]) == tuple(numbers)

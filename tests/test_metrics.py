@@ -113,7 +113,8 @@ def test_fidelity_sweep_baseline_matches_plain_run(tmp_path):
     # the zero-payload point is exactly plain FedAvg under the same seeds
     from dataclasses import replace
     plain = [run_once(replace(base, embed={}), s).final_accuracy for s in seeds]
-    assert summary.mean_at(0.0) == pytest.approx(np.mean(plain), abs=0)
+    value, mean, _ = summary.points[0]
+    assert value == 0.0 and mean == pytest.approx(np.mean(plain), abs=0)
     raw = (tmp_path / "fidelity_bits_raw.csv").read_text().strip().split("\n")
     assert len(raw) == 1 + 2 * len(seeds)  # header + (baseline + one point) x seeds
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fedsign import io
 from fedsign.errors import ShapeError, StateError
 from fedsign.nn import (
     Conv2d,
@@ -177,7 +178,8 @@ def test_plain_sgd_update():
 def test_zero_grad_keeps_params():
     p = make_params()
     out = p.clone()
-    SgdMomentum(out, momentum=0.9).step(out, p.zeros_like(), lr=0.1)
+    zeros = ModelParams({k: np.zeros_like(v) for k, v in p.entries.items()})
+    SgdMomentum(out, momentum=0.9).step(out, zeros, lr=0.1)
     assert out.equal(p)
 
 
@@ -205,20 +207,36 @@ def test_inplace_optimizer_matches_functional():
     logits = net.forward(x, train=True)
     _, d = cross_entropy(logits, y)
     grads = net.backward(d)
-    snapshot = net.get_params()  # after forward: running stats already updated
-    expect = snapshot - 0.05 * grads
+    expect = net.params.vec - 0.05 * grads.vec  # after forward: running stats updated
     SgdMomentum(net.params, momentum=0.9).step(net.params, grads, lr=0.05)
-    assert net.get_params().equal(expect)
+    np.testing.assert_array_equal(net.params.vec, expect)
 
 
 # ---------------------------------------------------------------------------
 # params plumbing
 
-def test_flatten_unflatten_roundtrip_bitwise():
+def test_flatten_unflatten_roundtrip_bitwise(tmp_path):
+    # checkpoint entries -> one vector -> views -> the same checkpoint bytes
     net = build_cnn(8, 1, [4, 8], 5, seed=11)
-    p = net.get_params()
-    again = p.unflatten(p.flatten())
-    assert p.equal(again)
+    first, again = tmp_path / "a.bin", tmp_path / "b.bin"
+    io.save_checkpoint(first, net.descriptor, 3, net.params.entries)
+    _, _, entries = io.load_checkpoint(first)
+    p = ModelParams(entries)
+    assert p.equal(net.params)
+    io.save_checkpoint(again, net.descriptor, 3, p.entries)
+    assert again.read_bytes() == first.read_bytes()
+
+
+def test_layer_tensors_are_views_into_one_vector():
+    for net in (build_mlp(6, [5, 4], 3, seed=1), build_cnn(8, 1, [4, 8], 5, seed=1)):
+        vec = net.params.vec
+        assert vec.dtype == np.float64 and vec.flags.c_contiguous
+        tensors = [getattr(layer, attr) for layer in net.layers
+                   for attr in layer.ROLES.values()]
+        assert sum(t.size for t in tensors) == vec.size
+        assert all(np.shares_memory(t, vec) for t in tensors)
+        net.layers[0].w[...] = 7.0
+        assert (vec[net.params.layout.slices[(0, "kernel")]] == 7.0).all()
 
 
 def test_set_get_roundtrip_and_key_check():
@@ -229,15 +247,6 @@ def test_set_get_roundtrip_and_key_check():
     assert net.get_params().equal(p)
     with pytest.raises(StateError):
         net.set_params(build_mlp(6, [5], 3, seed=2).get_params())
-
-
-def test_vector_space_ops():
-    net = build_mlp(4, [3], 2, seed=4)
-    p = net.get_params()
-    q = (p + p) * 0.5
-    assert q.allclose(p, rtol=0, atol=0) or q.equal(p)
-    z = p - p
-    assert all(not v.any() for v in z.entries.values())
 
 
 def test_descriptor_roundtrip():
