@@ -53,7 +53,7 @@ def finetune(net, params, ds, epochs, lr=1e-4, momentum=0.9, batch=16,
     parameters; `params` is not modified.
     """
     net.set_params(params)
-    sgd_epochs(net, ds.inputs, ds.labels, epochs, lr, momentum, batch,
+    sgd_epochs(net, [ds.inputs], [ds.labels], epochs, lr, momentum, batch,
                (seed, "finetune"), lr_decay)
     return net.get_params()
 

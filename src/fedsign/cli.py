@@ -188,9 +188,6 @@ def cmd_info(args):
         trig = key.triggers.size if key.triggers is not None else 0
         print(f"keyfile: client={key.client_id} bits={key.n_bits} extractor={kind} "
               f"pool={key.extractor.pool_size} triggers={trig} margin={key.margin}")
-    elif tag == io.TAG_DATASET:
-        inputs, labels, classes, _ = io.load_dataset(args.path)
-        print(f"dataset: samples={len(labels)} shape={inputs.shape[1:]} classes={classes}")
     elif tag == io.TAG_TRIGGERS:
         samples, targets, classes, meta = io.load_triggers(args.path)
         print(f"triggers: samples={len(targets)} shape={samples.shape[1:]} "

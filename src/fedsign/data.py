@@ -35,14 +35,6 @@ class Dataset:
     def subset(self, indices):
         return Dataset(self.inputs[indices], self.labels[indices], self.class_count)
 
-    def save(self, path, meta=None):
-        io.save_dataset(path, self.inputs, self.labels, self.class_count, meta)
-
-    @classmethod
-    def load(cls, path):
-        inputs, labels, class_count, _ = io.load_dataset(path)
-        return cls(inputs, labels, class_count)
-
 
 @dataclass
 class Shard:

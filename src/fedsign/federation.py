@@ -2,6 +2,12 @@
 sampling, optional Gaussian noise on uploads, and data-size weighted
 averaging.
 
+Each round, `client_update` trains every selected client in one stacked
+`sgd_epochs` call on a network holding one parameter row per client (the
+FedJAX way of vectorizing local training over clients); each client keeps
+its own shuffle, trigger-row draws, regularizer, learning rate and noise
+stream, so the result equals one-client runs bitwise.
+
 The aggregation path only ever sees ``(client_id, ModelParams, n_k)``
 tuples, each update one parameter vector with its layout; watermark keys
 and trigger sets live inside ``ClientState`` and are never passed to the
@@ -17,7 +23,7 @@ import numpy as np
 from .data import Dataset, Shard
 from .errors import ConfigError, StateError
 from .io import write_atomic
-from .nn import TRAINABLE_ROLES, ModelParams, Network, accuracy, rng_for, sgd_epochs
+from .nn import TRAINABLE_ROLES, ModelParams, accuracy, rng_for, sgd_epochs
 from .watermark import WatermarkKey, bce_reg, hinge_reg, keygen, verify_black, verify_white
 
 
@@ -38,7 +44,6 @@ class ClientState:
     client_id: int
     shard: Shard
     data: Dataset
-    net: Network
     key: Optional[WatermarkKey] = None
     alpha: float = 0.0
     beta: float = 0.0
@@ -98,42 +103,53 @@ def _reg_for(loss_kind):
     raise ConfigError(f"unknown feature loss {loss_kind!r}")
 
 
-def client_update(state, global_params, cfg, round_index=0):
-    """Local embedding update: minibatch momentum SGD on
+def client_update(net, states, global_params, cfg, round_index=0):
+    """Local embedding updates of a round's clients: minibatch momentum SGD
+    of each client on its own
 
         L = L_main + alpha * L_trigger + beta * R_feature
 
-    starting from the distributed global parameters.  Trigger samples
-    extend each clean batch (batch poisoning).  Returns the updated local
-    parameters and the mean loss decomposition.
+    starting from the distributed global parameters, all clients trained
+    as one stacked computation on a `net.stacked` copy of the network.
+    Trigger samples extend each clean batch (batch poisoning).  Returns,
+    per state, the updated local parameters and the mean loss
+    decomposition.
     """
-    if state.beta > 0 and state.key is None:
-        raise ConfigError(f"client {state.client_id}: beta > 0 but no watermark key")
-    if state.alpha > 0 and (state.key is None or state.key.triggers is None):
-        raise ConfigError(f"client {state.client_id}: alpha > 0 but no trigger set")
-    net = state.net
-    net.set_params(global_params)
+    for state in states:
+        if state.beta > 0 and state.key is None:
+            raise ConfigError(f"client {state.client_id}: beta > 0 but no watermark key")
+        if state.alpha > 0 and (state.key is None or state.key.triggers is None):
+            raise ConfigError(f"client {state.client_id}: alpha > 0 but no trigger set")
     terms = ("main", "trigger", "feature")
     if cfg.local_epochs == 0:
-        return net.get_params(), {k: 0.0 for k in terms}
+        return [(global_params.clone(), {k: 0.0 for k in terms}) for _ in states]
 
-    feature_reg = _reg_for(state.loss_kind)
-    triggers = reg = None
-    if state.alpha > 0:
-        trig = state.key.triggers
-        triggers = (trig.samples, trig.target_labels, state.alpha, cfg.backdoor_batch,
+    stack = net.stacked(len(states))
+    stack.set_params(global_params)
+    triggers, regs = [], []
+    for state in states:
+        feature_reg = _reg_for(state.loss_kind)
+        trig = reg = None
+        if state.alpha > 0:
+            t = state.key.triggers
+            trig = (t.samples, t.target_labels, state.alpha, cfg.backdoor_batch,
                     rng_for(cfg.seed, "trigger-batches", round_index, state.client_id))
-    if state.beta > 0:
-        def reg(params):
-            loss, grads = feature_reg(params, state.key)
-            grads.vec *= state.beta
-            return loss, grads
+        if state.beta > 0:
+            def reg(params, feature_reg=feature_reg, key=state.key, beta=state.beta):
+                loss, grads = feature_reg(params, key)
+                grads.vec *= beta
+                return loss, grads
+        triggers.append(trig)
+        regs.append(reg)
     # the shuffle stream is shared across clients so that identical shards
     # under identical configs produce identical updates
-    losses = sgd_epochs(net, state.data.inputs, state.data.labels, cfg.local_epochs,
-                        cfg.lr * cfg.lr_decay ** round_index, cfg.momentum, cfg.batch,
-                        (cfg.seed, "batches", round_index), triggers=triggers, reg=reg)
-    return net.get_params(), {k: float(np.mean(v)) for k, v in zip(terms, losses)}
+    losses = sgd_epochs(stack, [s.data.inputs for s in states], [s.data.labels for s in states],
+                        cfg.local_epochs, cfg.lr * cfg.lr_decay ** round_index, cfg.momentum,
+                        cfg.batch, (cfg.seed, "batches", round_index), triggers=triggers, reg=regs)
+    rows = stack.params.vec.reshape(len(states), -1)
+    return [(ModelParams.wrap(global_params.layout, row),
+             {k: float(np.mean(v)) for k, v in zip(terms, client_losses)})
+            for row, client_losses in zip(rows, losses)]
 
 
 def add_dp_noise(update, sigma, seed):
@@ -204,7 +220,7 @@ def setup_clients(ds, shards, net, specs, seed, vanilla=None):
                          vanilla=vanilla, offset=offsets.get(shard.client_id))
             alpha, beta, loss_kind = spec.alpha, spec.beta, spec.loss
         clients.append(ClientState(shard.client_id, shard, ds.subset(shard.indices),
-                                   net.clone(), key, alpha, beta, loss_kind))
+                                   key, alpha, beta, loss_kind))
     return clients
 
 
@@ -223,9 +239,10 @@ def run_federation(cfg, clients, net, eval_data=None):
         selected = sample_clients(cfg.n_clients, cfg.fraction, r, cfg.seed)
         updates = []
         log = RoundLog(r, selected, None)
-        for cid in selected:
-            state = by_id[cid]
-            local, losses = client_update(state, global_params, cfg, r)
+        states = [by_id[cid] for cid in selected]
+        for state, (local, losses) in zip(states, client_update(net, states, global_params,
+                                                                cfg, r)):
+            cid = state.client_id
             if cfg.dp_sigma > 0:
                 local = add_dp_noise(local, cfg.dp_sigma, (cfg.seed, r, cid))
             updates.append((cid, local, state.n_samples))

@@ -1,4 +1,4 @@
-"""Binary artifact containers: checkpoints, key files, datasets, trigger sets.
+"""Binary artifact containers: checkpoints, key files, trigger sets.
 
 All artifacts share one envelope: an 8-byte magic, a 4-byte artifact tag
 and a little-endian u32 format version, followed by tag-specific fields.
@@ -24,7 +24,6 @@ FORMAT_VERSION = 1
 
 TAG_CHECKPOINT = b"CKPT"
 TAG_KEYFILE = b"KEYF"
-TAG_DATASET = b"DSET"
 TAG_TRIGGERS = b"TRIG"
 
 
@@ -229,45 +228,30 @@ def load_keyfile(path):
 
 
 # ---------------------------------------------------------------------------
-# datasets and trigger sets
+# trigger sets
 
-def _save_samples(path, tag, inputs, labels, class_count, meta):
-    f = _new_envelope(tag)
+def save_triggers(path, samples, target_labels, class_count, meta=None):
+    """Trigger sets are black-box key material, written 0600."""
+    f = _new_envelope(TAG_TRIGGERS)
     _w_u32(f, class_count)
-    _w_arr(f, np.asarray(inputs), "<f8")
-    _w_arr(f, np.asarray(labels), "<i8")
+    _w_arr(f, np.asarray(samples), "<f8")
+    _w_arr(f, np.asarray(target_labels), "<i8")
     meta = dict(meta or {})
     _w_u32(f, len(meta))
     for k in sorted(meta):
         _w_str(f, k)
         _w_str(f, str(meta[k]))
-    write_atomic(path, f.getvalue(), secret=tag == TAG_TRIGGERS)  # black-box key material
+    write_atomic(path, f.getvalue(), secret=True)
 
 
-def _load_samples(path, tag):
-    f = _open_envelope(path, tag)
+def load_triggers(path):
+    f = _open_envelope(path, TAG_TRIGGERS)
     class_count = _r_u32(f)
-    inputs = _r_arr(f, "<f8")
-    labels = _r_arr(f, "<i8")
+    samples = _r_arr(f, "<f8")
+    target_labels = _r_arr(f, "<i8")
     meta = {}
     for _ in range(_r_u32(f)):
         k = _r_str(f)
         meta[k] = _r_str(f)
     _check_eof(f)
-    return inputs, labels, class_count, meta
-
-
-def save_dataset(path, inputs, labels, class_count, meta=None):
-    _save_samples(path, TAG_DATASET, inputs, labels, class_count, meta)
-
-
-def load_dataset(path):
-    return _load_samples(path, TAG_DATASET)
-
-
-def save_triggers(path, samples, target_labels, class_count, meta=None):
-    _save_samples(path, TAG_TRIGGERS, samples, target_labels, class_count, meta)
-
-
-def load_triggers(path):
-    return _load_samples(path, TAG_TRIGGERS)
+    return samples, target_labels, class_count, meta

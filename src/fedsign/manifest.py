@@ -7,6 +7,7 @@ grids.  Parsing is strict: unknown keys are rejected by name.  The full
 schema is documented in docs/FORMATS.md.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError
@@ -56,6 +57,7 @@ _EMBED_FIELDS = {
 
 SWEEP_KINDS = ("fidelity_bits", "fidelity_triggers", "reliability_bits",
                "reliability_triggers", "dp_sigma", "fraction")
+COUNT_SWEEPS = SWEEP_KINDS[:4]  # their values are bit or trigger counts
 
 
 @dataclass
@@ -202,6 +204,11 @@ def _validate(m):
         raise ConfigError("classes must be >= 2")
     if m.sweep_kind and m.sweep_kind not in SWEEP_KINDS:
         raise ConfigError(f"sweep.kind must be one of {SWEEP_KINDS}, got {m.sweep_kind!r}")
+    if m.sweep_kind in COUNT_SWEEPS:
+        for v in m.sweep_values:
+            if not (math.isfinite(v) and v == int(v) and v >= 1):
+                raise ConfigError(f"sweep.values of sweep.kind = {m.sweep_kind} must be "
+                                  f"whole counts >= 1, got {v!r}")
     for cid, spec in m.embed.items():
         if not 0 <= cid < m.fed.n_clients:
             raise ConfigError(f"embed.{cid}: no such client (clients = {m.fed.n_clients})")

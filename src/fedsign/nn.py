@@ -5,14 +5,23 @@ are addressed by ``(layer_index, role)`` where role is one of ``kernel``,
 ``scale``, ``bias`` (trainable) or ``running_mean`` / ``running_var``
 (normalization statistics, carried along with zero gradient).
 
-A network's parameters live in one contiguous vector, and every layer
-tensor is a reshaped view into it.  The vector holds the tensors in sorted
-``(layer_index, role)`` order, each C-ordered: the order in which a
-checkpoint file stores them.  Gradients use the same layout, so the
-optimizer step, federated averaging, upload noise and signature extraction
-are each one vector or index operation.
+A network's parameters live in one contiguous (C, P) matrix, one row per
+client, and every layer tensor is a reshaped (C, *shape) view into it.
+Each row holds the tensors in sorted ``(layer_index, role)`` order, each
+C-ordered: the order in which a checkpoint file stores them.  Gradients use
+the same layout, so the optimizer step, federated averaging, upload noise
+and signature extraction are each one vector or index operation.
+
+Layers compute on client-stacked batches (A, B, ...): one batch of B rows
+for each of the first A clients.  `sgd_epochs` trains a round's clients as
+one such computation, each client's batch padded to the widest; the
+padding is masked out of the loss gradient and the batch statistics, so
+every client's update equals the one a network with C = 1 computes alone.
+A network built from layers has C = 1 and takes plain (B, ...) batches;
+`fit`, fine-tuning, evaluation and PGD run on it through the same code.
 """
 
+import copy
 import functools
 import hashlib
 import math
@@ -108,8 +117,8 @@ class ModelParams:
 
     @functools.cached_property
     def entries(self):
-        """{key: view into vec}, in layout order."""
-        return {k: self.vec[self.layout.slices[k]].reshape(shape)
+        """{key: view into vec}, in layout order; (C, *shape) for a stack."""
+        return {k: self.vec[..., self.layout.slices[k]].reshape(self.vec.shape[:-1] + shape)
                 for k, shape in self.layout.shapes}
 
     def __getitem__(self, key):
@@ -126,12 +135,55 @@ class ModelParams:
 
 # ---------------------------------------------------------------------------
 # layers
+#
+# Every layer computes on a client-stacked batch x of shape (A, B, ...): one
+# batch of B rows for each of the first A clients of its network, whose
+# tensors carry a leading client axis.  `rows` is None when every row is
+# data, else a _Rows telling each client's count of real rows (the rest are
+# padding that must not reach a gradient or a batch statistic).
+
+class _Rows:
+    """Real rows of a padded stacked batch: client c's first counts[c] rows
+    are data, the rest padding."""
+
+    def __init__(self, counts, width):
+        self.counts = counts
+        self.mask = (np.arange(width) < counts[:, None]).astype(np.float64)
+        # BLAS can round a row of a product differently depending on how many
+        # rows the product has (numpy hands one row to gemv, OpenBLAS rounds
+        # a partial block of four rows apart and picks kernels by size), so
+        # the dense layers multiply each run of consecutive clients with the
+        # same short count again on exactly those rows, as a lone client would
+        self.short = []
+        n = counts.tolist()
+        start = 0
+        for i in range(1, len(n) + 1):
+            if i == len(n) or n[i] != n[start]:
+                if n[start] < width:
+                    self.short.append((slice(start, i), n[start]))
+                start = i
+
+    def like(self, x):
+        """The row mask, shaped to broadcast over x."""
+        return self.mask.reshape(self.mask.shape + (1,) * (x.ndim - 2))
+
+
+def _pad_rows(parts, width):
+    """Per-client (n_c, ...) arrays as one (A, width, ...) stack, zero
+    past each client's rows."""
+    if len(parts) == 1 and len(parts[0]) == width:
+        return parts[0][None]
+    out = np.zeros((len(parts), width) + parts[0].shape[1:])
+    for c, part in enumerate(parts):
+        out[c, :len(part)] = part
+    return out
+
 
 class Layer:
     kind = None
     ROLES = {}  # parameter role -> attribute holding that tensor
 
-    def forward(self, x, train):
+    def forward(self, x, train, rows=None):
         raise NotImplementedError
 
     def backward(self, dy):
@@ -149,54 +201,71 @@ class Dense(Layer):
     ROLES = {"kernel": "w", "bias": "b"}
 
     def __init__(self, n_in, n_out, rng):
-        self.w = rng.normal(0.0, np.sqrt(2.0 / n_in), size=(n_in, n_out))
-        self.b = np.zeros(n_out)
+        self.w = rng.normal(0.0, np.sqrt(2.0 / n_in), size=(1, n_in, n_out))
+        self.b = np.zeros((1, n_out))
         self._cache = None
 
-    def forward(self, x, train):
-        flat = x.reshape(x.shape[0], -1)
-        if flat.shape[1] != self.w.shape[0]:
-            raise ShapeError(f"dense expects {self.w.shape[0]} features, got {flat.shape[1]}")
-        self._cache = (flat, x.shape)
-        return flat @ self.w + self.b
+    def forward(self, x, train, rows=None):
+        w = self.w[:len(x)]
+        flat = x.reshape(x.shape[0], x.shape[1], -1)
+        if flat.shape[2] != w.shape[1]:
+            raise ShapeError(f"dense expects {w.shape[1]} features, got {flat.shape[2]}")
+        short = () if rows is None else rows.short
+        self._cache = (flat, x.shape, short)
+        y = flat @ w + self.b[:len(x), None]
+        for run, n in short:
+            y[run, :n] = flat[run, :n] @ w[run] + self.b[run, None]
+        return y
 
     def backward(self, dy):
         self._need_cache()
-        flat, shape = self._cache
-        dw = flat.T @ dy
-        db = dy.sum(axis=0)
-        dx = (dy @ self.w.T).reshape(shape)
-        return dx, {"kernel": dw, "bias": db}
+        flat, shape, short = self._cache
+        w = self.w[:len(dy)]
+        dw = flat.transpose(0, 2, 1) @ dy
+        db = dy.sum(axis=1)
+        dx = dy @ w.transpose(0, 2, 1)
+        for run, n in short:
+            dx[run, :n] = dy[run, :n] @ w[run].transpose(0, 2, 1)
+        return dx.reshape(shape), {"kernel": dw, "bias": db}
 
 
 class Conv2d(Layer):
+    """The kernels convolve one client's images at a time, on its real rows
+    only: each call has exactly the shapes of a lone client's, so a stacked
+    batch costs one kernel call per client."""
+
     kind = "conv2d"
     ROLES = {"kernel": "w", "bias": "b"}
 
     def __init__(self, c_in, c_out, ksize, rng):
         fan_in = c_in * ksize * ksize
-        self.w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(ksize, ksize, c_in, c_out))
-        self.b = np.zeros(c_out)
+        self.w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(1, ksize, ksize, c_in, c_out))
+        self.b = np.zeros((1, c_out))
         self._cache = None
 
-    def forward(self, x, train):
-        if x.ndim != 4 or x.shape[3] != self.w.shape[2]:
-            raise ShapeError(f"conv2d expects NHWC input with {self.w.shape[2]} channels")
-        self._cache = x
-        return kernels.conv2d_forward(x, self.w, self.b)
+    def forward(self, x, train, rows=None):
+        if x.ndim != 5 or x.shape[4] != self.w.shape[3]:
+            raise ShapeError(f"conv2d expects NHWC input with {self.w.shape[3]} channels")
+        counts = [x.shape[1]] * len(x) if rows is None else rows.counts
+        self._cache = (x, counts)
+        return _pad_rows([kernels.conv2d_forward(x[c, :n], self.w[c], self.b[c])
+                          for c, n in enumerate(counts)], x.shape[1])
 
     def backward(self, dy):
         self._need_cache()
-        dx, dw, db = kernels.conv2d_backward(self._cache, self.w, dy)
-        return dx, {"kernel": dw, "bias": db}
+        x, counts = self._cache
+        dx, dw, db = zip(*(kernels.conv2d_backward(x[c, :n], self.w[c], dy[c, :n])
+                           for c, n in enumerate(counts)))
+        return _pad_rows(dx, x.shape[1]), {"kernel": np.stack(dw), "bias": np.stack(db)}
 
 
 class ScaleNorm(Layer):
     """Per-channel affine on standardized activations.
 
-    Training mode standardizes with batch statistics (reduced over every
-    axis but the channel axis) and updates running statistics; eval mode
-    uses the running statistics.  gamma starts at 1, beta at 0.
+    Training mode standardizes each client's batch with its own statistics
+    (reduced over its real rows and every axis but the channel axis) and
+    updates that client's running statistics; eval mode uses the running
+    statistics.  gamma starts at 1, beta at 0.
     """
 
     kind = "scale-norm"
@@ -206,44 +275,59 @@ class ScaleNorm(Layer):
     MOMENTUM = 0.9
 
     def __init__(self, channels):
-        self.gamma = np.ones(channels)
-        self.beta = np.zeros(channels)
-        self.running_mean = np.zeros(channels)
-        self.running_var = np.ones(channels)
+        self.gamma = np.ones((1, channels))
+        self.beta = np.zeros((1, channels))
+        self.running_mean = np.zeros((1, channels))
+        self.running_var = np.ones((1, channels))
         self._cache = None
 
-    def forward(self, x, train):
-        if x.shape[-1] != self.gamma.size:
-            raise ShapeError(f"scale-norm expects {self.gamma.size} channels, got {x.shape[-1]}")
-        axes = tuple(range(x.ndim - 1))
+    def forward(self, x, train, rows=None):
+        if x.shape[-1] != self.gamma.shape[-1]:
+            raise ShapeError(f"scale-norm expects {self.gamma.shape[-1]} channels, "
+                             f"got {x.shape[-1]}")
+        axes = tuple(range(1, x.ndim - 1))
+        per_client = (slice(len(x)),) + (None,) * (x.ndim - 2)  # (A, 1, ..., channels)
+        mask = None
         if train:
-            mu = x.mean(axis=axes)
-            var = x.var(axis=axes)
-            self.running_mean *= self.MOMENTUM
-            self.running_mean += (1.0 - self.MOMENTUM) * mu
-            self.running_var *= self.MOMENTUM
-            self.running_var += (1.0 - self.MOMENTUM) * var
+            # sums over the rows, then divided: numpy's own mean and var
+            if rows is None:
+                n = x.size // (x.shape[0] * x.shape[-1])
+                mu = x.sum(axis=axes, keepdims=True) / n
+                xc = x - mu
+            else:
+                mask = rows.like(x)
+                n = (rows.counts[:, None] * (x[0, 0].size // x.shape[-1]))[per_client]
+                mu = (x * mask).sum(axis=axes, keepdims=True) / n
+                xc = (x - mu) * mask
+            var = (xc * xc).sum(axis=axes, keepdims=True) / n
+            for running, stat in ((self.running_mean, mu), (self.running_var, var)):
+                running = running[:len(x)]
+                running *= self.MOMENTUM
+                running += (1.0 - self.MOMENTUM) * stat.reshape(running.shape)
         else:
-            mu = self.running_mean
-            var = self.running_var
+            n = None
+            var = self.running_var[per_client]
+            xc = x - self.running_mean[per_client]
         ivar = 1.0 / np.sqrt(var + self.EPS)
-        xhat = (x - mu) * ivar
-        n = x.size // x.shape[-1]
-        self._cache = (xhat, ivar, n, axes, train)
-        return self.gamma * xhat + self.beta
+        xhat = xc * ivar
+        gamma = self.gamma[per_client]
+        self._cache = (xhat, ivar, n, axes, mask, gamma)
+        return gamma * xhat + self.beta[per_client]
 
     def backward(self, dy):
         self._need_cache()
-        xhat, ivar, n, axes, train = self._cache
+        xhat, ivar, n, axes, mask, gamma = self._cache
         dgamma = (dy * xhat).sum(axis=axes)
         dbeta = dy.sum(axis=axes)
-        dxhat = dy * self.gamma
-        if train:
-            dx = (ivar / n) * (n * dxhat
-                               - dxhat.sum(axis=axes)
-                               - xhat * (dxhat * xhat).sum(axis=axes))
-        else:
+        dxhat = dy * gamma
+        if n is None:
             dx = dxhat * ivar
+        else:
+            dx = (ivar / n) * (n * dxhat
+                               - dxhat.sum(axis=axes, keepdims=True)
+                               - xhat * (dxhat * xhat).sum(axis=axes, keepdims=True))
+            if mask is not None:
+                dx *= mask
         return dx, {"scale": dgamma, "bias": dbeta}
 
 
@@ -253,7 +337,7 @@ class Relu(Layer):
     def __init__(self):
         self._cache = None
 
-    def forward(self, x, train):
+    def forward(self, x, train, rows=None):
         self._cache = x > 0
         return x * self._cache
 
@@ -268,15 +352,18 @@ class MaxPool2(Layer):
     def __init__(self):
         self._cache = None
 
-    def forward(self, x, train):
-        y, arg = kernels.maxpool2_forward(x)
+    def forward(self, x, train, rows=None):
+        # the clients' batches pool as one batch of images
+        y, arg = kernels.maxpool2_forward(x.reshape((-1,) + x.shape[2:]))
         self._cache = (arg, x.shape)
-        return y
+        return y.reshape(x.shape[:2] + y.shape[1:])
 
     def backward(self, dy):
         self._need_cache()
         arg, shape = self._cache
-        return kernels.maxpool2_backward(arg, dy, shape), {}
+        dx = kernels.maxpool2_backward(arg, dy.reshape((-1,) + dy.shape[2:]),
+                                       (shape[0] * shape[1],) + shape[2:])
+        return dx.reshape(shape), {}
 
 
 class SoftmaxLayer(Layer):
@@ -285,7 +372,7 @@ class SoftmaxLayer(Layer):
     def __init__(self):
         self._cache = None
 
-    def forward(self, x, train):
+    def forward(self, x, train, rows=None):
         p = softmax(x)
         self._cache = p
         return p
@@ -300,11 +387,15 @@ class SoftmaxLayer(Layer):
 # network
 
 class Network:
-    """Ordered layer stack whose parameters live in one vector.
+    """Ordered layer stack whose parameters live in one (C, P) matrix: one
+    row per client, each row a vector in `params.layout`.
 
-    `params` packs every layer's initial tensors into one ModelParams and
-    rebinds each layer attribute to its view, so the layers compute on the
-    vector that the optimizer, aggregation and extraction read and write.
+    Each layer attribute is rebound to a (C, *shape) view of that matrix,
+    so the layers compute on the rows that the optimizer, aggregation and
+    extraction read and write.  A network built from layers holds one
+    client, and its `params` is that client's vector; `stacked(C)` gives a
+    network of the same architecture with C rows, whose `params.vec` is the
+    whole (C, P) matrix.
     """
 
     def __init__(self, layers, input_shape, n_classes, descriptor):
@@ -313,31 +404,59 @@ class Network:
         self.n_classes = n_classes
         self.descriptor = descriptor
         self._forward_done = False
-        self.params = ModelParams({(i, role): getattr(layer, attr)
-                                   for i, layer in enumerate(self.layers)
-                                   for role, attr in layer.ROLES.items()})
-        for (i, role), view in self.params.entries.items():
+        params = ModelParams({(i, role): getattr(layer, attr)[0]
+                              for i, layer in enumerate(self.layers)
+                              for role, attr in layer.ROLES.items()})
+        self._bind(params.layout, params.vec[None])
+
+    def _bind(self, layout, stack):
+        self._stack = stack
+        self.clients = len(stack)
+        self.params = ModelParams.wrap(layout, stack[0] if self.clients == 1 else stack)
+        for (i, role), shape in layout.shapes:
+            view = stack[:, layout.slices[(i, role)]].reshape((self.clients,) + shape)
             setattr(self.layers[i], self.layers[i].ROLES[role], view)
+
+    def stacked(self, clients):
+        """A network of this architecture with `clients` rows, each a copy
+        of this network's parameters (its first row's, if stacked)."""
+        net = copy.copy(self)
+        net.layers = [copy.copy(layer) for layer in self.layers]
+        net._forward_done = False
+        net._bind(self.params.layout, np.repeat(self._stack[:1], clients, axis=0))
+        return net
 
     def get_params(self):
         return self.params.clone()
 
     def set_params(self, mp):
+        """Copy `mp` into the parameters; one vector fills every row."""
         if mp.layout != self.params.layout:
             raise StateError("parameter layout differs from this network's")
         np.copyto(self.params.vec, mp.vec)
 
-    def forward(self, x, train=False):
+    def forward(self, x, train=False, rows=None):
+        """Logits of a batch.  x is (B, *input_shape) on a one-client
+        network, or (A, B, *input_shape): one batch for each of the first A
+        clients.  `rows` gives each client's count of real rows when the
+        stacked batches are padded to B rows."""
         x = np.asarray(x, dtype=np.float64)
-        if x.shape[1:] != self.input_shape:
-            raise ShapeError(f"input shape {x.shape[1:]} != expected {self.input_shape}")
+        self._single = x.shape[1:] == self.input_shape
+        if self._single and self.clients == 1:
+            x = x[None]
+        elif self._single or x.shape[2:] != self.input_shape or len(x) > self.clients:
+            raise ShapeError(f"input shape {x.shape[1:]} != expected {self.input_shape}"
+                             + ("" if self.clients == 1 else f" stacked for {self.clients} clients"))
+        if rows is not None:
+            rows = _Rows(np.asarray(rows), x.shape[1])
         for layer in self.layers:
-            x = layer.forward(x, train)
+            x = layer.forward(x, train, rows)
         self._forward_done = True
-        return x
+        return x[0] if self._single else x
 
     def backward(self, dlogits):
-        """Gradients w.r.t. every parameter for the most recent forward.
+        """Gradients w.r.t. every parameter for the most recent forward, one
+        row per client of a stacked forward.
 
         Also stores the gradient w.r.t. the network input in ``input_grad``
         (used by gradient-based input attacks).
@@ -345,22 +464,19 @@ class Network:
         if not self._forward_done:
             raise StateError("backward called before forward")
         layout = self.params.layout
-        grads = np.zeros(layout.size)
-        dy = dlogits
+        dy = dlogits[None] if self._single else dlogits
+        grads = np.zeros((len(dy), layout.size))
         for idx in range(len(self.layers) - 1, -1, -1):
             dy, layer_grads = self.layers[idx].backward(dy)
             for role, g in layer_grads.items():
-                grads[layout.slices[(idx, role)]] = g.ravel()
+                grads[:, layout.slices[(idx, role)]] = g.reshape(len(g), -1)
+        if self._single:
+            dy, grads = dy[0], grads[0]
         self.input_grad = dy
         return ModelParams.wrap(layout, grads)
 
     def predict(self, x):
         return self.forward(x, train=False).argmax(axis=1)
-
-    def clone(self):
-        net = network_from_descriptor(self.descriptor, seed=0)
-        net.set_params(self.get_params())
-        return net
 
 
 # ---------------------------------------------------------------------------
@@ -377,34 +493,28 @@ def _check_labels(labels, n_classes):
         raise ShapeError(f"label out of range for {n_classes} classes")
 
 
-def _xent(logits, labels, n_clean, alpha=0.0):
-    """Cross-entropy of a batch whose rows past `n_clean` are trigger rows.
+def _xent(logits, labels):
+    """Per-row cross-entropy of (..., K) logits against (...) labels.
 
-    Returns (clean loss, trigger loss, dlogits): each part's loss is its
-    mean negative log-softmax of the true class; the clean rows' gradient
-    is divided by n_clean, the trigger rows' multiplied by alpha / n_trig.
-    Labels are not range-checked here.
+    Returns (logp, dlogits): each row's log-softmax of its label, and the
+    unscaled gradient softmax - onehot.  Labels are not range-checked here.
     """
-    n = len(labels)
-    rows = np.arange(n)
-    z = logits - logits.max(axis=1, keepdims=True)
-    logp = (z - np.log(np.exp(z).sum(axis=1, keepdims=True)))[rows, labels]
+    z = logits - logits.max(axis=-1, keepdims=True)
+    k = logits.shape[-1]
+    rows, flat = np.arange(labels.size), labels.reshape(-1)
+    logp = (z - np.log(np.exp(z).sum(axis=-1, keepdims=True))).reshape(-1, k)[rows, flat]
     dlogits = softmax(logits)
-    dlogits[rows, labels] -= 1.0
-    dlogits[:n_clean] /= n_clean
-    trig_loss = 0.0
-    if n > n_clean:
-        trig_loss = -logp[n_clean:].mean()
-        dlogits[n_clean:] *= alpha / (n - n_clean)
-    return -logp[:n_clean].mean(), trig_loss, dlogits
+    dlogits.reshape(-1, k)[rows, flat] -= 1.0
+    return logp.reshape(labels.shape), dlogits
 
 
 def cross_entropy(logits, labels):
     """Mean negative log-softmax of the true class.  Returns (loss, dlogits)."""
     labels = np.asarray(labels)
     _check_labels(labels, logits.shape[1])
-    loss, _, dlogits = _xent(logits, labels, len(labels))
-    return loss, dlogits
+    logp, dlogits = _xent(logits, labels)
+    dlogits /= len(labels)
+    return -logp.mean(), dlogits
 
 
 def accuracy(net, inputs, labels):
@@ -419,64 +529,163 @@ class SgdMomentum:
     Normalization statistics have zero gradient, so they stay put."""
 
     def __init__(self, params, momentum=0.9):
-        self.velocity = np.zeros(params.layout.size)
+        self.velocity = np.zeros(params.vec.shape)
         self.momentum = momentum
 
     def step(self, params, grads, lr):
+        """On stacked (C, P) parameters, `grads` may hold fewer rows: only
+        those leading clients move (the rest keep parameters and velocity),
+        and `lr` may be a column of per-client rates."""
         if params.layout != grads.layout:
             raise StateError("gradient layout differs from parameters")
-        v = self.velocity
+        rows = slice(len(grads.vec)) if grads.vec.ndim == 2 else slice(None)
+        v = self.velocity[rows]
         v *= self.momentum
         v += grads.vec
-        params.vec -= lr * v
+        params.vec[rows] -= lr * v
+
+
+def _client_steps(n, epochs, batch, stream, perms, picks):
+    """One client's pool rows for each of its steps: its shuffled batch
+    rows, then its trigger rows (numbered from n), then -1 padding; and
+    each step's count of batch rows."""
+    per_epoch = -(-n // batch)
+    clean = np.full((epochs, per_epoch * batch), -1)
+    for e in range(epochs):
+        if (e, n) not in perms:
+            perms[e, n] = rng_for(*stream, e).permutation(n)
+        clean[e, :n] = perms[e, n]
+    steps = epochs * per_epoch
+    k = np.minimum(batch, n - np.arange(steps) % max(per_epoch, 1) * batch)
+    rows = np.full((steps, batch + picks.shape[1]), -1)
+    rows[:, :batch] = clean.reshape(steps, batch)
+    rows[np.arange(steps)[:, None], k[:, None] + np.arange(picks.shape[1])] = picks + n
+    return rows, k
+
+
+def _mean_nll(logp, start, count):
+    """-logp[i, start[i]:start[i] + count[i]].mean() for every row i (0
+    where count[i] is 0), each slice summed as numpy sums it alone."""
+    out = np.zeros(len(count))
+    for c in set(count.tolist()) - {0}:
+        at = np.flatnonzero(count == c)
+        out[at] = -(logp[at[:, None], start[at, None] + np.arange(c)].sum(axis=1) / c)
+    return out
 
 
 def sgd_epochs(net, inputs, labels, epochs, lr, momentum, batch, stream,
                lr_decay=1.0, triggers=None, reg=None):
-    """Minibatch momentum SGD on  L = L_main + alpha * L_trigger + R.
+    """Minibatch momentum SGD on  L = L_main + alpha * L_trigger + R  for
+    every client (parameter row) of `net` at once.
 
-    Epoch e visits the rows in the order ``rng_for(*stream, e)``; the
-    learning rate is multiplied by `lr_decay` after every epoch.
-    `triggers` = (inputs, labels, alpha, count, rng) extends every batch
+    Client c trains on inputs[c], labels[c].  Its epoch e visits the rows in
+    the order ``rng_for(*stream, e).permutation(n_c)``; its learning rate is
+    multiplied by `lr_decay` after each of its epochs.  triggers[c] =
+    (inputs, labels, alpha, count, rng) extends every batch of client c
     with `count` trigger rows drawn with replacement by `rng` (batch
-    poisoning).  `reg` maps the live parameters to the (loss, gradient) of
-    an added regularizer.  Returns the per-batch losses as a
-    (3, epochs, batches) array: main, trigger and regularizer terms.
+    poisoning).  reg[c] maps client c's live parameters to the (loss,
+    gradient) of an added regularizer.  Either list may be None.
+
+    Each step trains the clients that still have batches as one stacked
+    batch, every client's rows padded to the widest.  Returns, per client,
+    the per-batch losses as a (3, epochs, batches) array: main, trigger and
+    regularizer terms.
     """
-    labels = np.asarray(labels)
-    _check_labels(labels, net.n_classes)
-    starts = range(0, len(labels), batch)
-    losses = np.zeros((3, epochs, len(starts)))
-    alpha = 0.0
-    if triggers is not None:
-        trig_inputs, trig_labels, alpha, count, trig_rng = triggers
-        _check_labels(trig_labels, net.n_classes)
-    opt = SgdMomentum(net.params, momentum)
-    for epoch in range(epochs):
-        order = rng_for(*stream, epoch).permutation(len(labels))
-        for b, start in enumerate(starts):
-            idx = order[start:start + batch]
-            xb, yb = inputs[idx], labels[idx]
-            if triggers is not None:
-                pick = trig_rng.integers(0, len(trig_labels), size=count)
-                xb = np.concatenate([xb, trig_inputs[pick]])
-                yb = np.concatenate([yb, trig_labels[pick]])
-            main, trig, dlogits = _xent(net.forward(xb, train=True), yb, len(idx), alpha)
-            grads = net.backward(dlogits)
-            feat = 0.0
-            if reg is not None:
-                feat, reg_grads = reg(net.params)
-                grads.vec += reg_grads.vec
-            opt.step(net.params, grads, lr)
-            losses[:, epoch, b] = main, trig, feat
+    n_clients = len(labels)
+    triggers = triggers or [None] * n_clients
+    reg = reg or [None] * n_clients
+    trig_rows = [0 if t is None else t[3] for t in triggers]
+    per_epoch = [-(-len(y) // batch) for y in labels]
+    # most steps first, so that the clients still training are the leading
+    # rows; then most trigger rows, so that equal batch widths sit together
+    order = sorted(range(n_clients), key=lambda c: (-per_epoch[c], -trig_rows[c]))
+    stack = net._stack
+    stack[:] = stack[order]
+    epoch_rates = []
+    for _ in range(epochs):
+        epoch_rates.append(lr)
         lr *= lr_decay
+
+    # step s trains rows [0, active[s]) on idx[s], indices into one pool of
+    # every client's samples and trigger samples (-1: a zero row, padding);
+    # div and mul scale each row's loss gradient: 1/rows for batch rows,
+    # alpha/count for trigger rows, 0 for padding
+    total, width = epochs * per_epoch[order[0]], batch + max(trig_rows)
+    idx = np.full((total, n_clients, width), -1)
+    clean = np.zeros((total, n_clients), dtype=int)  # batch rows
+    counts = np.zeros((total, n_clients), dtype=int)  # batch and trigger rows
+    div = np.ones((total, n_clients, width))
+    mul = np.zeros((total, n_clients, width))
+    rates = np.empty((total, n_clients, 1))
+    pool_x, pool_y, perms = [], [], {}
+    for i, c in enumerate(order):
+        x, y = inputs[c], np.asarray(labels[c])
+        _check_labels(y, net.n_classes)
+        steps, count = epochs * per_epoch[c], trig_rows[c]
+        picks = np.zeros((steps, 0), dtype=int)
+        if triggers[c] is not None:
+            tx, ty, alpha, count, trig_rng = triggers[c]
+            _check_labels(ty, net.n_classes)
+            picks = trig_rng.integers(0, len(ty), size=(steps, count))
+            x, y = np.concatenate([x, tx]), np.concatenate([y, ty])
+        rows, k = _client_steps(len(labels[c]), epochs, batch, stream, perms, picks)
+        s = np.arange(steps)
+        offset = sum(len(p) for p in pool_y)
+        idx[s, i, :rows.shape[1]] = np.where(rows >= 0, rows + offset, -1)
+        clean[s, i] = k
+        counts[s, i] = k + count
+        is_clean = np.arange(width) < k[:, None]
+        div[s, i] = np.where(is_clean, k[:, None], 1)
+        mul[s, i] = is_clean
+        if count:
+            mul[s[:, None], i, k[:, None] + np.arange(count)] = alpha / count
+        rates[s, i, 0] = np.repeat(epoch_rates, per_epoch[c])
+        pool_x.append(x)
+        pool_y.append(y)
+    pool_x = np.concatenate(pool_x + [np.zeros((1,) + pool_x[0].shape[1:])])
+    pool_y = np.concatenate(pool_y + [np.zeros(1, dtype=pool_y[0].dtype)])
+    active = (counts > 0).sum(axis=1).tolist()
+    widest = counts.max(axis=1)
+    padded = ((counts != widest[:, None]) & (counts > 0)).any(axis=1).tolist()
+    poisoned = max(trig_rows) > 0
+
+    layout = net.params.layout
+    params = ModelParams.wrap(layout, stack)
+    regs = [(i, reg[c], ModelParams.wrap(layout, stack[i]))
+            for i, c in enumerate(order) if reg[c] is not None]
+    logp = np.zeros((total, n_clients, width))
+    feat = np.zeros((total, n_clients))
+    opt = SgdMomentum(params, momentum)
+    for s, a, r in zip(range(total), active, widest.tolist()):
+        ix = idx[s, :a, :r]
+        logits = net.forward(pool_x[ix], train=True, rows=counts[s, :a] if padded[s] else None)
+        logp[s, :a, :r], dlogits = _xent(logits, pool_y[ix])
+        dlogits /= div[s, :a, :r, None]
+        if padded[s] or poisoned:
+            dlogits *= mul[s, :a, :r, None]
+        grads = net.backward(dlogits)
+        for i, fn, row in regs:
+            if i < a:
+                feat[s, i], reg_grads = fn(row)
+                grads.vec[i] += reg_grads.vec
+        opt.step(params, grads, rates[s, :a])
+    stack[order] = stack.copy()
+
+    logp, clean = logp.reshape(total * n_clients, width), clean.ravel()
+    main = _mean_nll(logp, np.zeros_like(clean), clean).reshape(total, n_clients)
+    trig = _mean_nll(logp, clean, counts.ravel() - clean).reshape(total, n_clients)
+    losses = [None] * n_clients
+    for i, c in enumerate(order):
+        shape = (epochs, per_epoch[c])
+        s = math.prod(shape)
+        losses[c] = np.stack([main[:s, i], trig[:s, i], feat[:s, i]]).reshape((3,) + shape)
     return losses
 
 
 def fit(net, inputs, labels, epochs, lr, momentum=0.9, batch=16, seed=0, lr_decay=1.0):
     """Centralized cross-entropy training; returns per-epoch mean loss."""
-    losses = sgd_epochs(net, inputs, labels, epochs, lr, momentum, batch,
-                        (seed, "fit"), lr_decay)
+    losses = sgd_epochs(net, [inputs], [labels], epochs, lr, momentum, batch,
+                        (seed, "fit"), lr_decay)[0]
     return [float(np.mean(epoch)) for epoch in losses[0]]
 
 

@@ -99,7 +99,7 @@ def test_finetune_replays_momentum_sgd():
     start = net.get_params()
     got = finetune(net, start, ds, epochs=3, lr=0.01, batch=16, seed=4)
 
-    replay = net.clone()
+    replay = net.stacked(1)
     replay.set_params(start)
     opt = SgdMomentum(replay.params, 0.9)
     lr = 0.01

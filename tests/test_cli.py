@@ -232,6 +232,15 @@ def test_sweep_row_counts(tmp_path, capsys):
     assert (out / "reliability_bits_summary.csv").exists()
 
 
+@pytest.mark.parametrize("value", ["1e400", "2.5"])
+def test_sweep_values_that_are_not_counts_exit_2(tmp_path, capsys, value):
+    manifest, out = write_manifest(
+        tmp_path, MINIMAL + f"sweep.kind = fidelity_bits\nsweep.values = {value}\n")
+    assert main(["sweep", str(manifest)]) == EXIT_INPUT
+    assert "sweep.values" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_without_kind_is_input_error(tmp_path, capsys):
     manifest, _ = write_manifest(tmp_path, MINIMAL)
     assert main(["sweep", str(manifest)]) == EXIT_INPUT

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from fedsign.data import (
-    Dataset,
     TriggerSet,
     forge_pattern_triggers,
     forge_pgd_triggers,
@@ -203,16 +202,6 @@ def test_pgd_low_success_warns(image_cnn, caplog):
 
 # ---------------------------------------------------------------------------
 # serialization
-
-def test_dataset_roundtrip_bit_exact(tmp_path):
-    ds = make_synthetic(3, 7, seed=6, kind="images")
-    path = tmp_path / "cache.dset"
-    ds.save(path)
-    back = Dataset.load(path)
-    np.testing.assert_array_equal(back.inputs, ds.inputs)
-    np.testing.assert_array_equal(back.labels, ds.labels)
-    assert back.class_count == 3
-
 
 def test_trigger_roundtrip_keeps_provenance(tmp_path, image_cnn):
     net, _, held_out = image_cnn

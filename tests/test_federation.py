@@ -37,10 +37,10 @@ def test_plain_client_update_is_local_sgd():
     tr, net, shards, cfg, clients = small_world()
     state = clients[1]
     start = net.get_params()
-    got, losses = client_update(state, start, cfg, round_index=2)
+    [(got, losses)] = client_update(net, [state], start, cfg, round_index=2)
 
     # replay: same shuffle stream, same lr schedule, cross-entropy only
-    replay = net.clone()
+    replay = net.stacked(1)
     replay.set_params(start)
     opt = SgdMomentum(replay.params, cfg.momentum)
     lr = cfg.lr * cfg.lr_decay ** 2
@@ -65,11 +65,11 @@ def test_poisoned_regularized_client_update_replays(loss):
     state = clients[1]
     assert state.data.n % cfg.batch
     start = net.get_params()
-    got, losses = client_update(state, start, cfg, round_index=3)
+    [(got, losses)] = client_update(net, [state], start, cfg, round_index=3)
 
     reg = hinge_reg if loss == "hinge" else bce_reg
     trig = state.key.triggers
-    replay = net.clone()
+    replay = net.stacked(1)
     replay.set_params(start)
     opt = SgdMomentum(replay.params, cfg.momentum)
     lr = cfg.lr * cfg.lr_decay ** 3
@@ -103,16 +103,15 @@ def test_poisoned_regularized_client_update_replays(loss):
 def test_zero_local_epochs_returns_global_unchanged():
     tr, net, shards, cfg, clients = small_world(local_epochs=0)
     start = net.get_params()
-    got, _ = client_update(clients[0], start, cfg)
+    [(got, _)] = client_update(net, clients[:1], start, cfg)
     assert got.equal(start)
 
 
 def test_identical_shards_produce_identical_updates():
     tr, net, shards, cfg, clients = small_world(n_clients=2)
     shared = clients[0].data
-    clients[1] = ClientState(1, clients[0].shard, shared, net.clone())
-    a, _ = client_update(clients[0], net.get_params(), cfg, 0)
-    b, _ = client_update(clients[1], net.get_params(), cfg, 0)
+    clients[1] = ClientState(1, clients[0].shard, shared)
+    (a, _), (b, _) = client_update(net, clients, net.get_params(), cfg, 0)
     assert a.equal(b)
 
 
@@ -121,7 +120,7 @@ def test_beta_without_key_is_config_error():
     state = clients[0]
     state.beta = 1.0
     with pytest.raises(ConfigError):
-        client_update(state, net.get_params(), cfg)
+        client_update(net, [state], net.get_params(), cfg)
 
 
 def test_alpha_without_triggers_is_config_error():
@@ -130,7 +129,7 @@ def test_alpha_without_triggers_is_config_error():
     state.key = keygen(net, 0, 4, 0, "scale", seed=1)
     state.alpha = 1.0
     with pytest.raises(ConfigError):
-        client_update(state, net.get_params(), cfg)
+        client_update(net, [state], net.get_params(), cfg)
 
 
 def test_isolated_hinge_embedding_reaches_zero_hamming():
@@ -147,6 +146,67 @@ def test_isolated_hinge_embedding_reaches_zero_hamming():
         opt.step(params, grads, lr=0.01)
     assert hinge_reg(params, key)[0] == 0.0
     assert verify_white(params, key).hamming == 0
+
+
+# ---------------------------------------------------------------------------
+# stacked rounds: one stacked update equals one-client runs bitwise
+
+def one_client_runs(net, states, global_params, cfg, round_index):
+    return [client_update(net, [state], global_params, cfg, round_index)[0]
+            for state in states]
+
+
+def test_stacked_round_matches_one_client_runs_iid():
+    # 15-sample shards in batches of 12: every step pads the trigger
+    # clients' batches wider than the others'
+    specs = {0: WatermarkSpec("scale", 4, 0, "hinge", beta=2.0),
+             1: WatermarkSpec("scale", 4, 0, "hinge", beta=3.0),
+             2: WatermarkSpec("kernel", 8, 0, "bce", beta=2.0),
+             3: WatermarkSpec("kernel", 8, 0, "bce", beta=1.0),
+             4: WatermarkSpec("scale", 4, 5, "hinge", alpha=0.3),
+             5: WatermarkSpec("scale", 4, 6, "hinge", alpha=1.0)}
+    tr, net, shards, cfg, clients = small_world(seed=4, n_clients=8, specs=specs,
+                                                batch=12, backdoor_batch=3)
+    assert all(c.data.n % cfg.batch for c in clients)
+    start, _ = run_federation(FedConfig(**{**cfg.__dict__, "rounds": 1}), clients, net)
+    stacked = client_update(net, clients, start, cfg, round_index=1)
+    single = one_client_runs(net, clients, start, cfg, 1)
+    for (got, losses), (want, want_losses) in zip(stacked, single):
+        assert got.equal(want)
+        assert losses == want_losses
+    assert all(losses["feature"] > 0 for _, losses in stacked[2:4])  # bce is never 0
+    assert all(losses["trigger"] > 0 for _, losses in stacked[4:6])
+
+
+def test_stacked_rounds_match_one_client_runs_noniid():
+    # Dirichlet shards of 2 to 63 samples: clients run out of batches at
+    # different steps, and client 1's last batch is a single row
+    tr = make_synthetic(3, 60, seed=52, kind="blobs")
+    net = build_mlp(32, [16, 16], 3, seed=2)
+    shards = split(tr, 8, mode="noniid", seed=2, concentration=0.5)
+    specs = {1: WatermarkSpec("scale", 4, 0, "hinge", beta=2.0),
+             4: WatermarkSpec("scale", 4, 5, "hinge", alpha=0.5),
+             5: WatermarkSpec("kernel", 8, 0, "bce", beta=1.0)}
+    cfg = FedConfig(n_clients=8, fraction=0.5, rounds=3, batch=8, backdoor_batch=2,
+                    dp_sigma=0.01, seed=2)
+    assert len({s.size for s in shards}) > 4 and shards[1].size % cfg.batch == 1
+    final, logs = run_federation(cfg, setup_clients(tr, shards, net, specs, 2), net)
+
+    by_id = {c.client_id: c for c in setup_clients(tr, shards, net, specs, 2)}
+    global_params = build_mlp(32, [16, 16], 3, seed=2).get_params()
+    for r, log in enumerate(logs):
+        states = [by_id[cid] for cid in sample_clients(8, 0.5, r, cfg.seed)]
+        updates = []
+        for state, (local, losses) in zip(states, one_client_runs(net, states, global_params,
+                                                                  cfg, r)):
+            cid = state.client_id
+            assert (log.loss_main[cid], log.loss_trigger[cid], log.loss_feature[cid]) == (
+                losses["main"], losses["trigger"], losses["feature"])
+            updates.append((cid, add_dp_noise(local, cfg.dp_sigma, (cfg.seed, r, cid)),
+                            state.n_samples))
+        global_params = aggregate(updates)
+    assert final.equal(global_params)
+    assert 1 in logs[0].selected and 4 in logs[2].selected
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +329,9 @@ def test_single_client_fedavg_degenerates_to_sequential_updates():
     final, _ = run_federation(cfg, clients, net)
 
     chained = start
-    replay = ClientState(0, clients[0].shard, clients[0].data, net.clone())
+    replay = ClientState(0, clients[0].shard, clients[0].data)
     for r in range(3):
-        chained, _ = client_update(replay, chained, cfg, r)
+        [(chained, _)] = client_update(net, [replay], chained, cfg, r)
     assert final.equal(chained)
 
 

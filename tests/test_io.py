@@ -47,8 +47,8 @@ def test_bad_magic_rejected(tmp_path):
 
 
 def test_wrong_tag_rejected(tmp_path):
-    path = tmp_path / "ds.bin"
-    io.save_dataset(path, np.zeros((2, 3)), np.array([0, 1]), 2)
+    path = tmp_path / "trig.bin"
+    io.save_triggers(path, np.zeros((2, 3)), np.array([0, 1]), 2)
     with pytest.raises(FormatError):
         io.load_checkpoint(path)
 
@@ -92,11 +92,11 @@ def test_keyfile_requires_exactly_one_extractor_payload(tmp_path):
                         pool_size=1, coords=np.array([0]), matrix=np.eye(1))
 
 
-def test_dataset_meta_roundtrip(tmp_path):
-    path = tmp_path / "d.bin"
-    io.save_dataset(path, np.ones((3, 2)), np.array([0, 1, 0]), 2,
-                    {"kind": "blobs", "note": "x"})
-    inputs, labels, classes, meta = io.load_dataset(path)
+def test_trigger_meta_roundtrip(tmp_path):
+    path = tmp_path / "t.bin"
+    io.save_triggers(path, np.ones((3, 2)), np.array([0, 1, 0]), 2,
+                     {"kind": "blobs", "note": "x"})
+    samples, labels, classes, meta = io.load_triggers(path)
     assert classes == 2
     assert meta == {"kind": "blobs", "note": "x"}
 
@@ -165,17 +165,17 @@ def _array_header(*dims):
 
 def test_negative_array_dims_rejected(tmp_path):
     path = tmp_path / "bad.bin"
-    path.write_bytes(io.MAGIC + io.TAG_DATASET + struct.pack("<II", 1, 2) + _array_header(-1, -1))
+    path.write_bytes(io.MAGIC + io.TAG_TRIGGERS + struct.pack("<II", 1, 2) + _array_header(-1, -1))
     with pytest.raises(FormatError, match="negative"):
-        io.load_dataset(path)
+        io.load_triggers(path)
 
 
 @pytest.mark.parametrize("dims", [(2**62, 2**62), (0, 2**62, 2**62), (1,) * 70, (10**6,)])
 def test_oversized_array_dims_rejected(tmp_path, dims):
     path = tmp_path / "bad.bin"
-    path.write_bytes(io.MAGIC + io.TAG_DATASET + struct.pack("<II", 1, 2) + _array_header(*dims))
+    path.write_bytes(io.MAGIC + io.TAG_TRIGGERS + struct.pack("<II", 1, 2) + _array_header(*dims))
     with pytest.raises(FormatError):
-        io.load_dataset(path)
+        io.load_triggers(path)
 
 
 def test_invalid_utf8_string_rejected(tmp_path):
@@ -187,18 +187,17 @@ def test_invalid_utf8_string_rejected(tmp_path):
 
 def _valid_artifacts():
     with tempfile.TemporaryDirectory() as tmp:
-        paths = [os.path.join(tmp, name) for name in ("c", "k", "d", "t")]
+        paths = [os.path.join(tmp, name) for name in ("c", "k", "t")]
         io.save_checkpoint(paths[0], "mlp:2:2:2", 3, {(0, "bias"): np.arange(2.0)})
         io.save_keyfile(paths[1], client_id=1, mode="kernel", seed=2,
                         bits=np.array([1, -1], dtype=np.int8), selector=((0, "kernel"),),
                         pool_size=2, matrix=np.eye(2), trigger_ref="x")
-        io.save_dataset(paths[2], np.ones((2, 3)), np.array([0, 1]), 2, {"kind": "blobs"})
-        io.save_triggers(paths[3], np.ones((1, 3)), np.array([1]), 2, {"eps": "0.1"})
+        io.save_triggers(paths[2], np.ones((1, 3)), np.array([1]), 2, {"eps": "0.1"})
         return [open(p, "rb").read() for p in paths]
 
 
 VALID = _valid_artifacts()
-LOADERS = (io.load_checkpoint, io.load_keyfile, io.load_dataset, io.load_triggers)
+LOADERS = (io.load_checkpoint, io.load_keyfile, io.load_triggers)
 
 
 @st.composite
@@ -209,8 +208,7 @@ def hostile_bytes(draw):
     if kind == "raw":
         return draw(st.binary(max_size=64))
     if kind == "envelope":
-        tag = draw(st.sampled_from((io.TAG_CHECKPOINT, io.TAG_KEYFILE, io.TAG_DATASET,
-                                    io.TAG_TRIGGERS)))
+        tag = draw(st.sampled_from((io.TAG_CHECKPOINT, io.TAG_KEYFILE, io.TAG_TRIGGERS)))
         return io.MAGIC + tag + struct.pack("<I", io.FORMAT_VERSION) + draw(st.binary(max_size=96))
     data = bytearray(draw(st.sampled_from(VALID)))
     for _ in range(draw(st.integers(1, 4))):

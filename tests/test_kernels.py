@@ -37,6 +37,14 @@ def ref_maxpool2(x):
     return y
 
 
+@pytest.mark.parametrize("p", [1, 2])
+def test_pad_matches_np_pad(p):
+    x = rng_for("pad", p).normal(size=(3, 5, 4, 2))
+    got = kernels._pad(x, p)
+    assert got.flags.c_contiguous
+    np.testing.assert_array_equal(got, np.pad(x, ((0, 0), (p, p), (p, p), (0, 0))))
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_conv2d_forward_matches_reference(seed):
     rng = rng_for("kernels", seed)

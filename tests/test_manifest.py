@@ -103,6 +103,19 @@ def test_bad_sweep_kind_rejected():
         parse_manifest("sweep.kind = banana")
 
 
+@pytest.mark.parametrize("kind", ["fidelity_bits", "fidelity_triggers",
+                                  "reliability_bits", "reliability_triggers"])
+@pytest.mark.parametrize("value", ["1e400", "2.5", "0", "-4", "nan", "inf"])
+def test_count_sweep_values_must_be_whole_counts(kind, value):
+    with pytest.raises(ConfigError, match="sweep.values"):
+        parse_manifest(f"sweep.kind = {kind}\nsweep.values = 4,{value}")
+
+
+def test_count_sweep_accepts_whole_floats_and_rate_sweeps_take_fractions():
+    assert parse_manifest("sweep.kind = fidelity_bits\nsweep.values = 4,8.0").sweep_values == (4.0, 8.0)
+    assert parse_manifest("sweep.kind = fraction\nsweep.values = 0.25,0.5").sweep_values == (0.25, 0.5)
+
+
 def test_bad_arch_rejected():
     with pytest.raises(ConfigError, match="arch"):
         parse_manifest("arch = transformer")

@@ -22,6 +22,7 @@ from fedsign.nn import (
     fit,
     network_from_descriptor,
     rng_for,
+    sgd_epochs,
     softmax,
 )
 
@@ -281,7 +282,7 @@ def test_fit_history_is_per_epoch_mean_loss():
     x = rng.normal(size=(30, 5))
     y = rng.integers(0, 3, size=30)
     net = build_mlp(5, [6], 3, seed=8)
-    replay = net.clone()
+    replay = net.stacked(1)
     history = fit(net, x, y, epochs=3, lr=0.05, batch=8, seed=2, lr_decay=0.5)
 
     opt = SgdMomentum(replay.params, 0.9)
@@ -299,6 +300,35 @@ def test_fit_history_is_per_epoch_mean_loss():
         lr *= 0.5
     assert history == expect
     assert net.get_params().equal(replay.get_params())
+
+
+@pytest.mark.parametrize("net", [build_mlp(6, [8, 5], 3, seed=14),
+                                 build_cnn(8, 1, [3, 4], 3, seed=14)], ids=["mlp", "cnn"])
+def test_stacked_sgd_matches_one_client_runs(net):
+    # 13, 9 and 22 rows in batches of 4: the clients run out of batches at
+    # different steps, client 1's last batch is one row, and client 0's
+    # batches carry two trigger rows
+    rng = rng_for(15)
+    sizes = (13, 9, 22)
+    inputs = [rng.normal(size=(n,) + net.input_shape) for n in sizes]
+    labels = [rng.integers(0, 3, size=n) for n in sizes]
+    trig = (rng.normal(size=(5,) + net.input_shape), np.array([2, 2, 1, 0, 2]), 0.7, 2)
+
+    def run(clients):
+        stack = net.stacked(len(clients))
+        losses = sgd_epochs(stack, [inputs[c] for c in clients], [labels[c] for c in clients],
+                            3, 0.05, 0.9, 4, ("stacked", 1), lr_decay=0.8,
+                            triggers=[trig + (rng_for(16),) if c == 0 else None
+                                      for c in clients])
+        return stack.params.vec.reshape(len(clients), -1), losses
+
+    vecs, losses = run([0, 1, 2])
+    for c in range(3):
+        vec, [loss] = run([c])
+        np.testing.assert_array_equal(vecs[c], vec[0])
+        np.testing.assert_array_equal(losses[c], loss)
+        assert loss.shape == (3, 3, -(-sizes[c] // 4))
+    assert losses[0][1].all() and not losses[1][1].any()
 
 
 def test_fit_learns_separable_data():
