@@ -1,5 +1,11 @@
 """Removal attacks: random weight pruning and main-task fine-tuning,
-with before/after verification against the original keys."""
+with before/after verification against the original keys.
+
+A fine-tuning grid is one run to its largest epoch budget, with the
+parameters copied out after each budget's last epoch.  Each copy equals a
+separate run of that many epochs: epoch e shuffles with its own stream, the
+rate decays once per epoch and momentum starts at zero, none of which
+depends on the run's length."""
 
 from dataclasses import dataclass
 from typing import Optional
@@ -45,17 +51,19 @@ def prune(params, rate, seed, roles=("kernel",)):
     return out
 
 
-def finetune(net, params, ds, epochs, lr=1e-4, momentum=0.9, batch=16,
+def finetune(net, params, ds, budgets, lr=1e-4, momentum=0.9, batch=16,
              lr_decay=0.99, seed=0):
     """Main-task-only SGD from the attacked parameters (no watermark terms).
 
-    The learning rate decays by 1% per epoch.  Returns the fine-tuned
-    parameters; `params` is not modified.
+    The learning rate decays by 1% per epoch.  Returns the parameters after
+    each entry of `budgets` epochs, in the given order, all copied out of one
+    run of max(budgets) epochs (0 gives a copy of `params`, which is not
+    modified).
     """
     net.set_params(params)
-    sgd_epochs(net, [ds.inputs], [ds.labels], epochs, lr, momentum, batch,
-               (seed, "finetune"), lr_decay)
-    return net.get_params()
+    _, kept = sgd_epochs(net, [ds.inputs], [ds.labels], max(budgets, default=0), lr,
+                         momentum, batch, (seed, "finetune"), lr_decay, keep=budgets)
+    return kept
 
 
 def evaluate_attack(net, params, keys, eval_data, trigger_keys=None):
@@ -82,17 +90,18 @@ def run_attack_suite(net, params, keys, eval_data, train_ds, prune_rates=(),
                      trigger_keys=None):
     """Sweep pruning rates and fine-tuning budgets over a trained model.
 
-    Every grid point starts from the original `params`; reports come back
-    in grid order (prunes first)."""
+    Every pruning rate starts from the original `params`; the fine-tuning
+    budgets are points of one `finetune` run from them, each equal to a run
+    of its own length.  Reports come back in grid order (prunes first)."""
     acc0, g0, k0, t0 = evaluate_attack(net, params, keys, eval_data, trigger_keys)
     reports = []
     for rate in prune_rates:
         attacked = prune(params, rate, seed)
         acc, g, k, t = evaluate_attack(net, attacked, keys, eval_data, trigger_keys)
         reports.append(AttackReport("prune", float(rate), acc0, acc, g, k, t))
-    for epochs in finetune_epochs:
-        attacked = finetune(net, params, train_ds, int(epochs), lr=finetune_lr,
-                            seed=seed)
+    budgets = [int(epochs) for epochs in finetune_epochs]
+    tuned = finetune(net, params, train_ds, budgets, lr=finetune_lr, seed=seed)
+    for epochs, attacked in zip(budgets, tuned):
         acc, g, k, t = evaluate_attack(net, attacked, keys, eval_data, trigger_keys)
         reports.append(AttackReport("finetune", float(epochs), acc0, acc, g, k, t))
     return reports

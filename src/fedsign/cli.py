@@ -23,7 +23,7 @@ from .metrics import (
     trigger_reliability_sweep,
 )
 from .nn import ModelParams, network_from_descriptor
-from .runner import run_once
+from .runner import make_data, run_once
 from .watermark import load_key, save_key, verify_black, verify_white
 
 EXIT_OK = 0
@@ -119,7 +119,6 @@ def cmd_attack(args):
             feature_keys.append(key)
         if m.embed[cid].alpha > 0:
             trigger_keys.append(key)
-    from .runner import make_data
     train, test = make_data(m, m.seed)
     reports = run_attack_suite(net, params, feature_keys,
                                (test.inputs, test.labels),

@@ -143,9 +143,9 @@ def client_update(net, states, global_params, cfg, round_index=0):
         regs.append(reg)
     # the shuffle stream is shared across clients so that identical shards
     # under identical configs produce identical updates
-    losses = sgd_epochs(stack, [s.data.inputs for s in states], [s.data.labels for s in states],
-                        cfg.local_epochs, cfg.lr * cfg.lr_decay ** round_index, cfg.momentum,
-                        cfg.batch, (cfg.seed, "batches", round_index), triggers=triggers, reg=regs)
+    losses, _ = sgd_epochs(stack, [s.data.inputs for s in states], [s.data.labels for s in states],
+                           cfg.local_epochs, cfg.lr * cfg.lr_decay ** round_index, cfg.momentum,
+                           cfg.batch, (cfg.seed, "batches", round_index), triggers=triggers, reg=regs)
     rows = stack.params.vec.reshape(len(states), -1)
     return [(ModelParams.wrap(global_params.layout, row),
              {k: float(np.mean(v)) for k, v in zip(terms, client_losses)})

@@ -209,6 +209,14 @@ def _validate(m):
             if not (math.isfinite(v) and v == int(v) and v >= 1):
                 raise ConfigError(f"sweep.values of sweep.kind = {m.sweep_kind} must be "
                                   f"whole counts >= 1, got {v!r}")
+    for rate in m.attack_prune:
+        if not 0.0 <= rate <= 1.0:  # nan fails too
+            raise ConfigError(f"attack.prune rates must lie in [0, 1], got {rate!r}")
+    for epochs in m.attack_finetune_epochs:
+        if epochs < 0:
+            raise ConfigError(f"attack.finetune_epochs must be whole counts >= 0, got {epochs!r}")
+    if not (math.isfinite(m.attack_finetune_lr) and m.attack_finetune_lr > 0):
+        raise ConfigError(f"attack.finetune_lr must be finite and > 0, got {m.attack_finetune_lr!r}")
     for cid, spec in m.embed.items():
         if not 0 <= cid < m.fed.n_clients:
             raise ConfigError(f"embed.{cid}: no such client (clients = {m.fed.n_clients})")

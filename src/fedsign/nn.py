@@ -574,7 +574,7 @@ def _mean_nll(logp, start, count):
 
 
 def sgd_epochs(net, inputs, labels, epochs, lr, momentum, batch, stream,
-               lr_decay=1.0, triggers=None, reg=None):
+               lr_decay=1.0, triggers=None, reg=None, keep=()):
     """Minibatch momentum SGD on  L = L_main + alpha * L_trigger + R  for
     every client (parameter row) of `net` at once.
 
@@ -589,8 +589,14 @@ def sgd_epochs(net, inputs, labels, epochs, lr, momentum, batch, stream,
     Each step trains the clients that still have batches as one stacked
     batch, every client's rows padded to the widest.  Returns, per client,
     the per-batch losses as a (3, epochs, batches) array: main, trigger and
-    regularizer terms.
+    regularizer terms; and, for each entry e of `keep` (0 <= e <= epochs),
+    a copy of the parameters shaped like ``net.params`` that holds every
+    client's row as it stood after that client's first e epochs.  No shuffle,
+    rate or velocity depends on `epochs`, so that copy equals the parameters
+    a run of e epochs ends with.
     """
+    if not all(0 <= e <= epochs for e in keep):
+        raise ShapeError(f"kept epochs must lie in [0, {epochs}], got {list(keep)}")
     n_clients = len(labels)
     triggers = triggers or [None] * n_clients
     reg = reg or [None] * n_clients
@@ -656,6 +662,15 @@ def sgd_epochs(net, inputs, labels, epochs, lr, momentum, batch, stream,
     logp = np.zeros((total, n_clients, width))
     feat = np.zeros((total, n_clients))
     opt = SgdMomentum(params, momentum)
+    # kept[j][c] copies client c's row once it has taken keep[j] epochs of
+    # steps; due maps a count of steps taken to the copies then due
+    kept = [np.empty_like(stack) for _ in keep]
+    due = {}
+    for j, e in enumerate(keep):
+        for i, c in enumerate(order):
+            due.setdefault(e * per_epoch[c], []).append((j, i, c))
+    for j, i, c in due.get(0, ()):
+        kept[j][c] = stack[i]
     for s, a, r in zip(range(total), active, widest.tolist()):
         ix = idx[s, :a, :r]
         logits = net.forward(pool_x[ix], train=True, rows=counts[s, :a] if padded[s] else None)
@@ -669,6 +684,8 @@ def sgd_epochs(net, inputs, labels, epochs, lr, momentum, batch, stream,
                 feat[s, i], reg_grads = fn(row)
                 grads.vec[i] += reg_grads.vec
         opt.step(params, grads, rates[s, :a])
+        for j, i, c in due.get(s + 1, ()):
+            kept[j][c] = stack[i]
     stack[order] = stack.copy()
 
     logp, clean = logp.reshape(total * n_clients, width), clean.ravel()
@@ -679,13 +696,13 @@ def sgd_epochs(net, inputs, labels, epochs, lr, momentum, batch, stream,
         shape = (epochs, per_epoch[c])
         s = math.prod(shape)
         losses[c] = np.stack([main[:s, i], trig[:s, i], feat[:s, i]]).reshape((3,) + shape)
-    return losses
+    return losses, [ModelParams.wrap(layout, k[0] if net.clients == 1 else k) for k in kept]
 
 
 def fit(net, inputs, labels, epochs, lr, momentum=0.9, batch=16, seed=0, lr_decay=1.0):
     """Centralized cross-entropy training; returns per-epoch mean loss."""
-    losses = sgd_epochs(net, [inputs], [labels], epochs, lr, momentum, batch,
-                        (seed, "fit"), lr_decay)[0]
+    [losses], _ = sgd_epochs(net, [inputs], [labels], epochs, lr, momentum, batch,
+                             (seed, "fit"), lr_decay)
     return [float(np.mean(epoch)) for epoch in losses[0]]
 
 

@@ -90,14 +90,14 @@ def test_prune_opt_in_roles_cover_scales():
 
 def test_finetune_zero_epochs_is_identity(robustness_run):
     net, params, keys, train, test = robustness_run
-    assert finetune(net, params, train, epochs=0).equal(params)
+    assert finetune(net, params, train, [0])[0].equal(params)
 
 
 def test_finetune_replays_momentum_sgd():
     ds = make_synthetic(3, 30, seed=7, kind="blobs")  # 90 rows: ragged last batch
     net = build_mlp(32, [16, 16], 3, seed=2)
     start = net.get_params()
-    got = finetune(net, start, ds, epochs=3, lr=0.01, batch=16, seed=4)
+    [got] = finetune(net, start, ds, [3], lr=0.01, batch=16, seed=4)
 
     replay = net.stacked(1)
     replay.set_params(start)
@@ -114,17 +114,54 @@ def test_finetune_replays_momentum_sgd():
     assert not got.equal(start)
 
 
+def replay_finetune(net, start, ds, epochs, lr, batch, seed):
+    """Momentum SGD written out step by step, as `finetune` runs it."""
+    replay = net.stacked(1)
+    replay.set_params(start)
+    opt = SgdMomentum(replay.params, 0.9)
+    for epoch in range(epochs):
+        order = rng_for(seed, "finetune", epoch).permutation(ds.n)
+        for s in range(0, ds.n, batch):
+            idx = order[s:s + batch]
+            _, d = cross_entropy(replay.forward(ds.inputs[idx], train=True), ds.labels[idx])
+            opt.step(replay.params, replay.backward(d), lr)
+        lr *= 0.99
+    return replay.get_params()
+
+
+def test_finetune_budgets_equal_their_own_runs():
+    ds = make_synthetic(3, 30, seed=7, kind="blobs")  # 90 rows: ragged last batch
+    net = build_mlp(32, [16, 16], 3, seed=2)
+    start = net.get_params()
+    budgets = (0, 5, 3, 5)
+    got = finetune(net, start, ds, budgets, lr=0.01, batch=16, seed=4)
+    assert len(got) == len(budgets)
+    for epochs, params in zip(budgets, got):
+        assert params.equal(replay_finetune(net, start, ds, epochs, 0.01, 16, 4))
+    assert got[0].equal(start) and not got[2].equal(got[1])
+
+
+def test_finetune_grid_takes_the_largest_budget_of_steps(monkeypatch):
+    ds = make_synthetic(3, 30, seed=7, kind="blobs")
+    net = build_mlp(32, [16, 16], 3, seed=2)
+    steps = []
+    step = SgdMomentum.step
+    monkeypatch.setattr(SgdMomentum, "step", lambda *a: (steps.append(1), step(*a)))
+    finetune(net, net.get_params(), ds, (2, 7, 4), batch=16)
+    assert len(steps) == 7 * -(-ds.n // 16)
+
+
 def test_finetune_keeps_main_accuracy(robustness_run):
     net, params, keys, train, test = robustness_run
     acc_before, *_ = evaluate_attack(net, params, keys, (test.inputs, test.labels))
-    attacked = finetune(net, params, train, epochs=50, lr=1e-4, seed=0)
+    [attacked] = finetune(net, params, train, [50], lr=1e-4, seed=0)
     acc_after, *_ = evaluate_attack(net, attacked, keys, (test.inputs, test.labels))
     assert acc_after >= acc_before - 0.01
 
 
 def test_finetune_hinge_scale_outlives_bce_kernel(robustness_run):
     net, params, keys, train, test = robustness_run
-    attacked = finetune(net, params, train, epochs=50, lr=1e-4, seed=0)
+    [attacked] = finetune(net, params, train, [50], lr=1e-4, seed=0)
     _, eta_gamma, eta_kernel, _ = evaluate_attack(net, attacked, keys,
                                                   (test.inputs, test.labels))
     assert eta_gamma >= eta_kernel
@@ -158,6 +195,17 @@ def test_report_count_matches_grid(robustness_run):
     assert [r.attack for r in reports] == ["prune"] * 3 + ["finetune"]
     zero = reports[0]
     assert zero.acc_after == zero.acc_before  # prune at rate 0 changes nothing
+
+
+def test_suite_reports_follow_the_grid(robustness_run):
+    net, params, keys, train, test = robustness_run
+    reports = run_attack_suite(net, params, keys, (test.inputs, test.labels), train,
+                               prune_rates=(0.5, 0.0), finetune_epochs=(3, 0, 1, 3), seed=0)
+    assert [(r.attack, r.param) for r in reports] == [
+        ("prune", 0.5), ("prune", 0.0), ("finetune", 3.0), ("finetune", 0.0),
+        ("finetune", 1.0), ("finetune", 3.0)]
+    assert reports[3].acc_after == reports[3].acc_before  # 0 epochs change nothing
+    assert reports[2] == reports[5]
 
 
 def test_gamma_signature_survives_half_pruning(robustness_run):

@@ -219,6 +219,17 @@ def test_attack_without_checkpoint_is_input_error(tmp_path, capsys):
     assert "checkpoint" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["attack.finetune_epochs = -5", "attack.finetune_lr = nan",
+                                  "attack.finetune_lr = -0.01", "attack.prune = 1.5",
+                                  "attack.prune = nan"])
+def test_attack_bad_grid_exits_2_before_loading(trained, capsys, line):
+    manifest, out = trained
+    manifest.write_text(manifest.read_text() + line + "\n")
+    assert main(["attack", str(manifest)]) == EXIT_INPUT
+    assert line.split(" = ")[0] in capsys.readouterr().err
+    assert not (out / "attacks.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # sweep
 

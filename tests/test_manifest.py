@@ -138,6 +138,22 @@ def test_fraction_validated_through_fedconfig():
         parse_manifest("fraction = 0.0")
 
 
+@pytest.mark.parametrize("line", [
+    "attack.finetune_epochs = 10,-5", "attack.finetune_lr = nan", "attack.finetune_lr = inf",
+    "attack.finetune_lr = 0", "attack.finetune_lr = -0.01", "attack.prune = 0.5,1.5",
+    "attack.prune = nan", "attack.prune = -0.1", "attack.prune = inf",
+])
+def test_bad_attack_grid_rejected_by_name(line):
+    with pytest.raises(ConfigError, match=line.split(" = ")[0]):
+        parse_manifest(line)
+
+
+def test_attack_grid_edges_accepted():
+    m = parse_manifest("attack.prune = 0,1\nattack.finetune_epochs = 0,5,3,5\n"
+                       "attack.finetune_lr = 1e-9")
+    assert m.attack_prune == (0.0, 1.0) and m.attack_finetune_epochs == (0, 5, 3, 5)
+
+
 # ---------------------------------------------------------------------------
 # hostile input: a manifest or a ConfigError, nothing else
 

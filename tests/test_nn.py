@@ -316,10 +316,10 @@ def test_stacked_sgd_matches_one_client_runs(net):
 
     def run(clients):
         stack = net.stacked(len(clients))
-        losses = sgd_epochs(stack, [inputs[c] for c in clients], [labels[c] for c in clients],
-                            3, 0.05, 0.9, 4, ("stacked", 1), lr_decay=0.8,
-                            triggers=[trig + (rng_for(16),) if c == 0 else None
-                                      for c in clients])
+        losses, _ = sgd_epochs(stack, [inputs[c] for c in clients], [labels[c] for c in clients],
+                               3, 0.05, 0.9, 4, ("stacked", 1), lr_decay=0.8,
+                               triggers=[trig + (rng_for(16),) if c == 0 else None
+                                         for c in clients])
         return stack.params.vec.reshape(len(clients), -1), losses
 
     vecs, losses = run([0, 1, 2])
@@ -329,6 +329,31 @@ def test_stacked_sgd_matches_one_client_runs(net):
         np.testing.assert_array_equal(losses[c], loss)
         assert loss.shape == (3, 3, -(-sizes[c] // 4))
     assert losses[0][1].all() and not losses[1][1].any()
+
+
+def test_stacked_sgd_keeps_each_clients_epochs():
+    # clients of 13, 9 and 22 rows end their epochs at different steps; the
+    # copy kept for e epochs holds each client's row from its own e-epoch run
+    net = build_mlp(6, [8, 5], 3, seed=14)
+    rng = rng_for(17)
+    inputs = [rng.normal(size=(n, 6)) for n in (13, 9, 22)]
+    labels = [rng.integers(0, 3, size=len(x)) for x in inputs]
+
+    def run(clients, epochs, keep=()):
+        stack = net.stacked(len(clients))
+        _, kept = sgd_epochs(stack, [inputs[c] for c in clients], [labels[c] for c in clients],
+                             epochs, 0.05, 0.9, 4, ("keep", 1), lr_decay=0.8, keep=keep)
+        return stack.params.vec.reshape(len(clients), -1), kept
+
+    keep = (2, 0, 3, 1)
+    final, kept = run([0, 1, 2], 3, keep)
+    np.testing.assert_array_equal(kept[2].vec, final)
+    for e, copy in zip(keep, kept):
+        assert copy.vec.shape == final.shape
+        for c in range(3):
+            np.testing.assert_array_equal(copy.vec[c], run([c], e)[0][0])
+    with pytest.raises(ShapeError):
+        run([0, 1], 3, (4,))
 
 
 def test_fit_learns_separable_data():
