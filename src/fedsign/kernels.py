@@ -1,11 +1,15 @@
 """Hot numeric kernels: 2-d convolution and 2x2 max-pooling, vectorized
-with numpy (im2col views and window reshapes, no compiled code).
+with numpy (no compiled code).
 
 Layout is NHWC, float64.  Convolutions are stride 1 with symmetric
-zero padding ``k // 2`` ("same" for odd kernels).  Pooling is 2x2,
-stride 2, ties resolved to the first window position in row-major
-order.  ``python3 sessionbench/run.py --workload cnn-pgd --trace 1``
-reports their per-call times and conv GFLOP/s.
+zero padding ``k // 2`` ("same" for odd kernels).  The forward pass and
+both backward products are GEMMs on im2col views: ``dw`` multiplies the
+input's view by ``dy``, and ``dx`` is the "same" convolution of ``dy``
+with the kernel turned 180 degrees and its channel axes swapped.
+Pooling is 2x2, stride 2, elementwise over the four strided slices
+``x[:, u::2, v::2]``; ties resolve to the first window position in
+row-major order.  ``python3 sessionbench/run.py --workload cnn-pgd
+--trace 1`` reports their per-call times and conv GFLOP/s.
 """
 
 import numpy as np
@@ -24,17 +28,11 @@ def _im2col(xp, kh, kw):
 def _pad(x, p):
     """x with p zero rows and columns around each image, C-contiguous."""
     if p == 0:
-        return x
+        return np.ascontiguousarray(x)
     bs, h, w, c = x.shape
     xp = np.zeros((bs, h + 2 * p, w + 2 * p, c))
     xp[:, p:-p, p:-p] = x
     return xp
-
-
-def _unpad(xp, p):
-    if p == 0:
-        return xp
-    return xp[:, p:-p, p:-p, :]
 
 
 # ---------------------------------------------------------------------------
@@ -43,8 +41,7 @@ def _unpad(xp, p):
 def conv2d_forward(x, w, b):
     """x (B,H,W,Cin), w (kh,kw,Cin,Cout), b (Cout,) -> y (B,H,W,Cout)."""
     kh, kw, _, co = w.shape
-    xp = np.ascontiguousarray(_pad(x, kh // 2))
-    cols = _im2col(xp, kh, kw)
+    cols = _im2col(_pad(x, kh // 2), kh, kw)
     return cols @ w.reshape(-1, co) + b
 
 
@@ -52,36 +49,34 @@ def conv2d_backward(x, w, dy):
     """Gradients of conv2d_forward: returns (dx, dw, db)."""
     kh, kw, ci, co = w.shape
     p = kh // 2
-    xp = np.ascontiguousarray(_pad(x, p))
-    cols = _im2col(xp, kh, kw)
+    cols = _im2col(_pad(x, p), kh, kw)
     db = dy.sum(axis=(0, 1, 2))
-    dw = np.einsum("bhwk,bhwc->kc", cols, dy).reshape(w.shape)
-    dcols = (dy @ w.reshape(-1, co).T).reshape(
-        dy.shape[0], dy.shape[1], dy.shape[2], kh, kw, ci)
-    dxp = np.zeros_like(xp)
-    oh, ow = dy.shape[1], dy.shape[2]
-    for u in range(kh):
-        for v in range(kw):
-            dxp[:, u:u + oh, v:v + ow, :] += dcols[:, :, :, u, v, :]
-    return _unpad(dxp, p), dw, db
+    dw = (cols.reshape(-1, kh * kw * ci).T @ dy.reshape(-1, co)).reshape(w.shape)
+    w_turned = w[::-1, ::-1].transpose(0, 1, 3, 2).reshape(-1, ci)
+    dx = _im2col(_pad(dy, p), kh, kw) @ w_turned
+    return dx, dw, db
+
+
+_SLOTS = ((0, 0), (0, 1), (1, 0), (1, 1))  # window positions, row-major
 
 
 def maxpool2_forward(x):
     """2x2 / stride-2 max pool.  Returns (y, argmax) with argmax in 0..3."""
-    bs, h, w, c = x.shape
+    h, w = x.shape[1:3]
     if h % 2 or w % 2:
         raise ValueError(f"maxpool2 needs even spatial dims, got {h}x{w}")
-    win = x.reshape(bs, h // 2, 2, w // 2, 2, c).transpose(0, 1, 3, 2, 4, 5)
-    win = win.reshape(bs, h // 2, w // 2, 4, c)
-    arg = win.argmax(axis=3)
-    y = np.take_along_axis(win, arg[:, :, :, None, :], axis=3)[:, :, :, 0, :]
+    s = [x[:, u::2, v::2] for u, v in _SLOTS]
+    # np.maximum returns its second operand on ties, so equal values
+    # (+0.0 and -0.0 included) keep the earlier slot's
+    y = np.maximum(np.maximum(s[3], s[2]), np.maximum(s[1], s[0]))
+    arg = np.where(s[0] == y, 0, np.where(s[1] == y, 1, np.where(s[2] == y, 2, 3)))
     return y, arg
 
 
 def maxpool2_backward(arg, dy, in_shape):
-    """Scatter dy back to the argmax positions of the forward input."""
-    bs, h, w, c = in_shape
-    dwin = np.zeros((bs, h // 2, w // 2, 4, c))
-    np.put_along_axis(dwin, arg[:, :, :, None, :], dy[:, :, :, None, :], axis=3)
-    dwin = dwin.reshape(bs, h // 2, w // 2, 2, 2, c).transpose(0, 1, 3, 2, 4, 5)
-    return dwin.reshape(in_shape)
+    """Route dy back to the argmax positions of the forward input; +0.0
+    everywhere else."""
+    dx = np.empty(in_shape)
+    for k, (u, v) in enumerate(_SLOTS):
+        dx[:, u::2, v::2] = np.where(arg == k, dy, 0.0)
+    return dx

@@ -15,8 +15,8 @@ from .federation import FedConfig, WatermarkSpec
 
 _SCALARS = {
     "arch": str,
-    "hidden": str,
-    "channels": str,
+    "hidden": int,
+    "channels": int,
     "classes": int,
     "per_class": int,
     "test_per_class": int,
@@ -36,14 +36,17 @@ _SCALARS = {
     "dp_sigma": float,
     "seed": int,
     "out_dir": str,
-    "attack.prune": str,
-    "attack.finetune_epochs": str,
+    "attack.prune": float,
+    "attack.finetune_epochs": int,
     "attack.finetune_lr": float,
     "attack.seed": int,
     "sweep.kind": str,
-    "sweep.values": str,
+    "sweep.values": float,
     "sweep.seeds": int,
 }
+_LISTS = ("hidden", "channels", "attack.prune", "attack.finetune_epochs", "sweep.values")
+_FED_KEYS = ("clients", "fraction", "rounds", "local_epochs", "batch", "backdoor_batch",
+             "lr", "momentum", "lr_decay", "dp_sigma", "seed")  # "seed" also sets RunManifest.seed
 
 _EMBED_FIELDS = {
     "mode": str,
@@ -149,42 +152,16 @@ def parse_manifest(text):
         elif key in _SCALARS:
             if key in values:
                 raise ConfigError(f"manifest key {key!r} appears twice")
-            values[key] = _parse_value(key, raw, _SCALARS[key])
+            parse = _parse_list if key in _LISTS else _parse_value
+            values[key] = parse(key, raw, _SCALARS[key])
         else:
             raise ConfigError(f"unknown manifest key {key!r}")
 
-    m = RunManifest()
-    fed_kw = {}
-    for key, value in values.items():
-        if key in ("clients",):
-            fed_kw["n_clients"] = value
-        elif key in ("fraction", "rounds", "local_epochs", "batch",
-                     "backdoor_batch", "lr", "momentum", "lr_decay",
-                     "dp_sigma", "seed"):
-            fed_kw[key] = value
-        elif key == "hidden":
-            m = replace(m, hidden=_parse_list(key, value, int))
-        elif key == "channels":
-            m = replace(m, channels=_parse_list(key, value, int))
-        elif key == "attack.prune":
-            m = replace(m, attack_prune=_parse_list(key, value, float))
-        elif key == "attack.finetune_epochs":
-            m = replace(m, attack_finetune_epochs=_parse_list(key, value, int))
-        elif key == "attack.finetune_lr":
-            m = replace(m, attack_finetune_lr=value)
-        elif key == "attack.seed":
-            m = replace(m, attack_seed=value)
-        elif key == "sweep.kind":
-            m = replace(m, sweep_kind=value)
-        elif key == "sweep.values":
-            m = replace(m, sweep_values=_parse_list(key, value, float))
-        elif key == "sweep.seeds":
-            m = replace(m, sweep_seeds=value)
-        else:
-            m = replace(m, **{key: value})
-    if "seed" in values:
-        m = replace(m, seed=values["seed"])
-    m = replace(m, fed=FedConfig(**fed_kw), embed=embed)
+    fed_kw = {("n_clients" if k == "clients" else k): v
+              for k, v in values.items() if k in _FED_KEYS}
+    m = RunManifest(**{k.replace(".", "_"): v for k, v in values.items()
+                       if k not in _FED_KEYS or k == "seed"},
+                    fed=FedConfig(**fed_kw), embed=embed)
     _validate(m)
     return m
 
@@ -202,6 +179,21 @@ def _validate(m):
         raise ConfigError(f"split must be iid or noniid, got {m.split!r}")
     if m.classes < 2:
         raise ConfigError("classes must be >= 2")
+    fed = m.fed
+    for key, value, least in (("rounds", fed.rounds, 0), ("local_epochs", fed.local_epochs, 0),
+                              ("batch", fed.batch, 1), ("backdoor_batch", fed.backdoor_batch, 0),
+                              ("sweep.seeds", m.sweep_seeds, 1)):
+        if value < least:
+            raise ConfigError(f"{key} must be >= {least}, got {value!r}")
+    for key, value in (("lr", fed.lr), ("lr_decay", fed.lr_decay),
+                       ("concentration", m.concentration)):
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"{key} must be finite and > 0, got {value!r}")
+    if not 0.0 <= fed.momentum < 1.0:
+        raise ConfigError(f"momentum must lie in [0, 1), got {fed.momentum!r}")
+    for key, widths in (("hidden", m.hidden), ("channels", m.channels)):
+        if any(n < 1 for n in widths):
+            raise ConfigError(f"{key} widths must be >= 1, got {widths!r}")
     if m.sweep_kind and m.sweep_kind not in SWEEP_KINDS:
         raise ConfigError(f"sweep.kind must be one of {SWEEP_KINDS}, got {m.sweep_kind!r}")
     if m.sweep_kind in COUNT_SWEEPS:

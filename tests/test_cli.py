@@ -75,6 +75,14 @@ def test_train_invalid_manifest_names_offending_key(tmp_path, capsys):
     assert "missing watermark spec" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["batch = 0", "rounds = -3", "lr = -0.01", "local_epochs = -1"])
+def test_train_out_of_range_key_exits_2(tmp_path, capsys, line):
+    manifest, out = write_manifest(tmp_path, MINIMAL.replace("rounds = 5\n", "") + line + "\n")
+    assert main(["train", str(manifest)]) == EXIT_INPUT
+    assert line.split(" = ")[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # verify
 

@@ -26,6 +26,46 @@ def ref_conv2d(x, w, b):
     return y
 
 
+def ref_conv2d_backward(x, w, dy):
+    """The chain rule of ref_conv2d, summed one output pixel and one kernel
+    tap at a time: y[:, i, j] += xp[:, i + u, j + v] @ w[u, v]."""
+    kh, kw, ci, co = w.shape
+    p = kh // 2
+    xp = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
+    bs, h, wd, _ = x.shape
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    db = np.zeros(co)
+    for i in range(h):
+        for j in range(wd):
+            db += dy[:, i, j].sum(axis=0)
+            for u in range(kh):
+                for v in range(kw):
+                    dw[u, v] += xp[:, i + u, j + v].T @ dy[:, i, j]
+                    dxp[:, i + u, j + v] += dy[:, i, j] @ w[u, v].T
+    return dxp[:, p:p + h, p:p + wd], dw, db
+
+
+def window_maxpool2(x):
+    """Max-pooling as an argmax over each image's 2x2 windows laid out on
+    their own axis: the formulation the kernels replaced, kept as a bitwise
+    oracle for y, arg and the backward pass."""
+    bs, h, w, c = x.shape
+    win = x.reshape(bs, h // 2, 2, w // 2, 2, c).transpose(0, 1, 3, 2, 4, 5)
+    win = win.reshape(bs, h // 2, w // 2, 4, c)
+    arg = win.argmax(axis=3)
+    y = np.take_along_axis(win, arg[:, :, :, None, :], axis=3)[:, :, :, 0, :]
+    return y, arg
+
+
+def window_maxpool2_backward(arg, dy, in_shape):
+    bs, h, w, c = in_shape
+    dwin = np.zeros((bs, h // 2, w // 2, 4, c))
+    np.put_along_axis(dwin, arg[:, :, :, None, :], dy[:, :, :, None, :], axis=3)
+    dwin = dwin.reshape(bs, h // 2, w // 2, 2, 2, c).transpose(0, 1, 3, 2, 4, 5)
+    return dwin.reshape(in_shape)
+
+
 def ref_maxpool2(x):
     bs, h, w, c = x.shape
     y = np.zeros((bs, h // 2, w // 2, c))
@@ -78,6 +118,45 @@ def test_conv2d_backward_matches_finite_differences(seed):
             arr.flat[flat] = orig
             fd = (up - dn) / (2 * h)
             assert abs(fd - grad.flat[flat]) <= 1e-5 * max(abs(fd), 1.0)
+
+
+@pytest.mark.parametrize("hw", [8, 4])
+@pytest.mark.parametrize("bs", [1, 9, 18])
+@pytest.mark.parametrize("ci,co", [(1, 8), (8, 16)])
+def test_conv2d_backward_matches_reference(ci, co, bs, hw):
+    rng = rng_for("kernels-bwd-ref", ci, bs, hw)
+    x = rng.normal(size=(bs, hw, hw, ci))
+    w = rng.normal(size=(3, 3, ci, co))
+    dy = rng.normal(size=(bs, hw, hw, co))
+    for got, want in zip(kernels.conv2d_backward(x, w, dy), ref_conv2d_backward(x, w, dy)):
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def relu_tie_images(seed, shape):
+    """ReLU outputs (x * (x > 0), so +0.0 and -0.0 both occur), with some
+    values rounded to collide, one image of all-equal windows, and windows
+    mixing +0.0 and -0.0 only."""
+    rng = rng_for("pool-ties", seed)
+    x = rng.normal(size=shape)
+    x[:, ::3] = np.round(x[:, ::3])
+    x = x * (x > 0)
+    x[0] = 1.5
+    x[-1, :2, :2] = np.where(rng.random(size=x[-1, :2, :2].shape) < 0.5, 0.0, -0.0)
+    return x
+
+
+@pytest.mark.parametrize("seed,shape", [(0, (3, 4, 4, 2)), (1, (16, 8, 8, 8)), (2, (5, 6, 2, 3))])
+def test_maxpool_is_bitwise_the_window_argmax(seed, shape):
+    x = relu_tie_images(seed, shape)
+    y, arg = kernels.maxpool2_forward(x)
+    want_y, want_arg = window_maxpool2(x)
+    assert y.shape == want_y.shape and y.tobytes() == want_y.tobytes()
+    assert arg.dtype == want_arg.dtype and np.array_equal(arg, want_arg)
+    dy = rng_for("pool-ties-dy", seed).normal(size=y.shape)
+    dx = kernels.maxpool2_backward(arg, dy, x.shape)
+    want_dx = window_maxpool2_backward(want_arg, dy, x.shape)
+    assert dx.shape == want_dx.shape and dx.tobytes() == want_dx.tobytes()
 
 
 def test_maxpool_forward_matches_reference():

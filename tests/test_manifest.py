@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -152,6 +154,27 @@ def test_attack_grid_edges_accepted():
     m = parse_manifest("attack.prune = 0,1\nattack.finetune_epochs = 0,5,3,5\n"
                        "attack.finetune_lr = 1e-9")
     assert m.attack_prune == (0.0, 1.0) and m.attack_finetune_epochs == (0, 5, 3, 5)
+
+
+@pytest.mark.parametrize("line,key", [
+    ("rounds = -3", "rounds"), ("local_epochs = -1", "local_epochs"), ("batch = 0", "batch"),
+    ("backdoor_batch = -2", "backdoor_batch"), ("lr = -0.01", "lr"), ("lr = 0", "lr"),
+    ("lr = inf", "lr"), ("lr_decay = -1", "lr_decay"), ("lr_decay = 0", "lr_decay"),
+    ("momentum = 1", "momentum"), ("momentum = -0.1", "momentum"), ("momentum = nan", "momentum"),
+    ("concentration = nan", "concentration"), ("concentration = 0", "concentration"),
+    ("hidden = 16,0", "hidden"), ("channels = -8", "channels"), ("sweep.seeds = 0", "sweep.seeds"),
+])
+def test_bad_training_key_rejected_by_name(line, key):
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)} "):
+        parse_manifest(line)
+
+
+def test_training_key_edges_accepted():
+    m = parse_manifest("rounds = 0\nlocal_epochs = 0\nbatch = 1\nbackdoor_batch = 0\n"
+                       "momentum = 0\nlr = 1e-9\nlr_decay = 1.5\nconcentration = 1e-3\n"
+                       "hidden = 1\nchannels = 1,1\nsweep.seeds = 1")
+    assert (m.fed.rounds, m.fed.local_epochs, m.fed.batch, m.fed.backdoor_batch) == (0, 0, 1, 0)
+    assert m.fed.momentum == 0.0 and m.hidden == (1,) and m.sweep_seeds == 1
 
 
 # ---------------------------------------------------------------------------

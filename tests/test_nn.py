@@ -120,6 +120,28 @@ def test_gradients_match_finite_differences(name, net, in_shape):
     gradcheck(net, x, labels, rng)
 
 
+def test_cnn_input_grad_matches_finite_differences():
+    # the eval-mode forward and backward that data.pgd_attack steps along
+    net = build_cnn(8, 1, [4, 6], 3, seed=9)
+    rng = rng_for("fd-input")
+    x = rng.normal(size=(5, 8, 8, 1))
+    labels = rng.integers(0, 3, size=5)
+    _, dlogits = cross_entropy(net.forward(x, train=False), labels)
+    net.backward(dlogits)
+    grad = net.input_grad
+    assert grad.shape == x.shape
+    h = 1e-6
+    for flat in range(x.size):
+        orig = x.flat[flat]
+        x.flat[flat] = orig + h
+        up, _ = cross_entropy(net.forward(x, train=False), labels)
+        x.flat[flat] = orig - h
+        dn, _ = cross_entropy(net.forward(x, train=False), labels)
+        x.flat[flat] = orig
+        fd = (up - dn) / (2 * h)
+        assert abs(grad.flat[flat] - fd) <= 1e-4 * max(abs(fd), 1e-3), flat
+
+
 # ---------------------------------------------------------------------------
 # losses
 
