@@ -12,11 +12,14 @@ exactly one of the following holds:
 `decide` finds p, the point nearest the origin in the convex hull of the
 unit-normalised columns of U~, with Wolfe's finite min-norm-point
 algorithm (Math. Programming 11 (1976) 128-149): a non-zero p gives W and
-p = 0 gives y.  Unknown means that neither certificate re-verified.
+p = 0 gives y.  Unknown means that neither certificate re-verified.  The
+corral is kept in buffers with the inverse of its lifted Gram, updated by
+rank one, and one refinement step against the kept lifted Gram stands in
+for a per-cycle solve.
 
 Three sufficient conditions guarantee the feasible branch: full column
-rank of U (from its singular values), an all-positive row of U~, or an
-entrywise-positive Gram matrix of U~.
+rank of U (from its singular values; no SVD when U is wider than tall),
+an all-positive row of U~, or an entrywise-positive Gram matrix of U~.
 """
 
 from dataclasses import dataclass
@@ -100,7 +103,7 @@ def check_conditions(se, gram=None):
     """The three sufficient conditions, in order: rank(U) equals the column
     count, some row of U~ is strictly positive, the Gram matrix of U~ is
     strictly positive entrywise.  `gram` may pass in U~^T U~."""
-    cond_rank = numerical_rank(se.u) == se.n_cols
+    cond_rank = len(se.u) >= se.n_cols and numerical_rank(se.u) == se.n_cols
     cond_row = bool((se.u_tilde > 0).all(axis=1).any())
     gram = se.u_tilde.T @ se.u_tilde if gram is None else gram
     return cond_rank, cond_row, bool((gram > 0).all())
@@ -109,29 +112,40 @@ def check_conditions(se, gram=None):
 # ---------------------------------------------------------------------------
 # certificates
 
-def _min_norm_point(gram, tol=WOLFE_TOL):
+def _min_norm_point(gram, dim, tol=WOLFE_TOL):
     """Wolfe's algorithm for x, the point nearest the origin in the convex
-    hull of points u_j given by their Gram matrix: x is a convex combination
-    of the corral.  A major cycle adds the u_j minimizing x^T u_j; minor
-    cycles move x to the corral's affine min-norm point, stepping back to
-    the boundary and dropping the blocking point when a weight would turn
+    hull of points u_j in R^dim given by their Gram matrix: x is a convex
+    combination of the corral.  A major cycle adds the u_j minimizing x^T u_j;
+    minor cycles move x to the corral's affine min-norm point, stepping back
+    to the boundary and dropping the blocking point when a weight would turn
     non-positive.  Stops when |x|^2 - min_j x^T u_j <= tol * max_j |u_j|^2,
-    the entering point is in the corral, or rounding stops x shrinking.
-    Returns (corral, weights, major cycles)."""
-    corral, weights = [int(np.argmin(np.diag(gram)))], np.ones(1)
-    last, iterations = np.inf, 0
+    the entering point is in the corral, or rounding stops x shrinking or
+    fills the buffers.  They hold min(N, dim + 1) + 1 corral points: Gram
+    rows, the lifted Gram A = G_S + 1 1^T and A^-1, bordered on an append
+    (v = A^-1 c, s = d - c^T v) and Schur-downdated on a drop.  The affine
+    point is b / sum(b), b = A^-1 1 refined once by b += A^-1 (1 - A b), so a
+    minor cycle costs O(k^2).  Returns (corral, weights, major cycles)."""
+    n, diag = len(gram), np.diag(gram)
+    cap = min(n, dim + 1) + 1
+    idx, rows = np.empty(cap, np.intp), np.empty((cap, n))
+    lifted, inv, scratch = np.empty((3, cap, cap))
+    k, j, weights, last, iterations = 0, int(np.argmin(diag)), np.ones(0), np.inf, 0
     while True:
-        iterations += 1
-        dots = weights @ gram[corral]
-        norm2 = weights @ dots[corral]
-        j = int(np.argmin(dots))
-        if norm2 - dots[j] <= tol * np.diag(gram).max() or j in corral or norm2 >= last:
-            return corral, weights, iterations
-        corral, weights, last = corral + [j], np.append(weights, 0.0), norm2
+        idx[k], rows[k] = j, gram[j]
+        lifted[k, :k + 1] = lifted[:k + 1, k] = rows[:k + 1, j] + 1.0
+        c = lifted[:k, k]
+        v = inv[:k, :k] @ c
+        s = lifted[k, k] - c @ v
+        if s > 0:  # border A^-1: A^-1 += v v^T / s, new row and column -v/s, 1/s
+            inv[:k, :k] += np.outer(v, v / s, out=scratch[:k, :k])
+            inv[k, :k] = inv[:k, k] = -v / s
+            inv[k, k] = 1.0 / s
+        else:  # only rounding makes s <= 0: refactor from the kept lifted Gram
+            inv[:k + 1, :k + 1] = np.linalg.inv(lifted[:k + 1, :k + 1])
+        k, weights = k + 1, np.append(weights, 0.0)
         while True:
-            # affine min-norm point: G_S a = c 1, sum(a) = 1, via the Gram of the points
-            # (u_j, 1), positive definite for an affinely independent corral
-            affine = np.linalg.solve(gram[np.ix_(corral, corral)] + 1.0, np.ones(len(corral)))
+            affine = inv[:k, :k].sum(axis=1)
+            affine += inv[:k, :k] @ (1.0 - lifted[:k, :k] @ affine)
             affine /= affine.sum()
             if (affine > 0).all():
                 weights = affine
@@ -140,7 +154,19 @@ def _min_norm_point(gram, tol=WOLFE_TOL):
             ratios = weights[blocked] / (weights[blocked] - affine[blocked])
             weights = weights + ratios.min() * (affine - weights)
             weights[blocked[np.argmin(ratios)]] = 0.0
-            corral, weights = [c for c, wt in zip(corral, weights) if wt > 0], weights[weights > 0]
+            for i in np.flatnonzero(~(weights > 0)):  # Schur downdate of each drop
+                inv[:k, :k] -= np.outer(inv[:k, i], inv[i, :k] / inv[i, i])
+            keep = np.flatnonzero(weights > 0)
+            k, weights, sub = keep.size, weights[keep], np.ix_(keep, keep)
+            inv[:k, :k], lifted[:k, :k] = inv[sub], lifted[sub]
+            rows[:k], idx[:k] = rows[keep], idx[keep]
+        iterations += 1
+        dots = weights @ rows[:k]
+        norm2 = weights @ dots[idx[:k]]
+        j = int(np.argmin(dots))
+        if norm2 - dots[j] <= tol * diag.max() or j in idx[:k] or norm2 >= last or k == cap:
+            return idx[:k].tolist(), weights, iterations
+        last = norm2
 
 
 def decide(se):
@@ -156,7 +182,7 @@ def decide(se):
     if (norms == 0).any():  # a zero column is its own infeasibility certificate
         y[np.argmin(norms)] = 1.0
     else:
-        corral, weights, iterations = _min_norm_point(gram / np.outer(norms, norms))
+        corral, weights, iterations = _min_norm_point(gram / np.outer(norms, norms), dim=len(ut))
         y[corral] = weights / norms[corral]
     stats = dict(iterations=iterations, min_norm=float(np.linalg.norm(ut @ y)))
     y /= y.sum()

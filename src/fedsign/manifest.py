@@ -127,10 +127,11 @@ def _parse_embed(key, raw):
         beta=spec.get("beta", 0.0),
         trigger_kind=spec.get("trigger_kind", "pattern"),
     )
-    if ws.mode not in ("scale", "kernel"):
-        raise ConfigError(f"manifest key {key!r}: bad mode {ws.mode!r}")
-    if ws.loss not in ("hinge", "bce"):
-        raise ConfigError(f"manifest key {key!r}: bad loss {ws.loss!r}")
+    for name, value, allowed in (("mode", ws.mode, ("scale", "kernel")),
+                                 ("loss", ws.loss, ("hinge", "bce")),
+                                 ("trigger_kind", ws.trigger_kind, ("pattern", "pgd"))):
+        if value not in allowed:
+            raise ConfigError(f"manifest key {key!r}: bad {name} {value!r}")
     return ws
 
 
@@ -214,6 +215,12 @@ def _validate(m):
             raise ConfigError(f"embed.{cid}: no such client (clients = {m.fed.n_clients})")
         if spec.beta > 0 and spec.n_bits < 1:
             raise ConfigError(f"embed.{cid}: missing watermark spec (bits >= 1 required)")
+        for name, value in (("alpha", spec.alpha), ("beta", spec.beta)):
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"embed.{cid}: {name} must be finite and >= 0, got {value!r}")
+        for name, value, least in (("bits", spec.n_bits, 1), ("triggers", spec.n_triggers, 0)):
+            if value < least:
+                raise ConfigError(f"embed.{cid}: {name} must be >= {least}, got {value!r}")
         if spec.alpha > 0 and spec.n_triggers < 1:
             raise ConfigError(f"embed.{cid}: alpha > 0 needs triggers >= 1")
 

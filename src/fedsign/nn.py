@@ -121,9 +121,6 @@ class ModelParams:
         return {k: self.vec[..., self.layout.slices[k]].reshape(self.vec.shape[:-1] + shape)
                 for k, shape in self.layout.shapes}
 
-    def __getitem__(self, key):
-        return self.entries[key]
-
     def clone(self):
         return ModelParams.wrap(self.layout, self.vec.copy())
 

@@ -47,7 +47,7 @@ def random_instance(rng, m=None, cols=None):
 def fd_param_grad(net, x, labels, key, flat_idx, h=1e-6):
     """Central finite difference of the cross-entropy loss w.r.t. one
     parameter coordinate, probed through a train-mode forward pass."""
-    arr = net.params[key]  # a view: writing it moves the network's weights
+    arr = net.params.entries[key]  # a view: writing it moves the network's weights
     orig = arr.flat[flat_idx]
     arr.flat[flat_idx] = orig + h
     up, _ = cross_entropy(net.forward(x, train=True), labels)

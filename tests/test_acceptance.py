@@ -129,7 +129,7 @@ def test_criterion_01_gradient_correctness():
                     continue  # keep probes off the hinge kink
             _, grads = reg(params, key)
             for sel_key in key.extractor.selector:
-                arr = net.params[sel_key]
+                arr = net.params.entries[sel_key]
                 for idx in rng.choice(arr.size, size=min(20, arr.size), replace=False):
                     orig = arr.flat[idx]
                     arr.flat[idx] = orig + 1e-6
@@ -138,7 +138,7 @@ def test_criterion_01_gradient_correctness():
                     dn = reg(net.params, key)[0]
                     arr.flat[idx] = orig
                     fd = (up - dn) / 2e-6
-                    a = grads[sel_key].flat[idx]
+                    a = grads.entries[sel_key].flat[idx]
                     err = abs(a - fd) / max(abs(a), abs(fd), 1e-3)
                     worst = max(worst, err)
                     assert err <= 1e-4

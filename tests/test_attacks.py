@@ -53,7 +53,7 @@ def test_prune_full_rate_zeroes_all_kernels():
         if role == "kernel":
             assert not arr.any()
         else:
-            np.testing.assert_array_equal(arr, p[(idx, role)])
+            np.testing.assert_array_equal(arr, p.entries[(idx, role)])
 
 
 def test_prune_count_is_exact():
@@ -61,7 +61,7 @@ def test_prune_count_is_exact():
     total = sum(v.size for (i, r), v in p.entries.items() if r == "kernel")
     for rate in (0.1, 0.33, 0.5, 0.77):
         out = prune(p, rate, seed=2)
-        zeroed = sum(int((out[k] == 0).sum()) - int((p[k] == 0).sum())
+        zeroed = sum(int((out.entries[k] == 0).sum()) - int((p.entries[k] == 0).sum())
                      for k in p.entries if k[1] == "kernel")
         assert zeroed == round(rate * total)
 
@@ -75,14 +75,14 @@ def test_prune_composition_zeroes_at_least_max_fraction():
     p = params_of()
     out = prune(prune(p, 0.6, seed=1), 0.3, seed=2)
     total = sum(v.size for (i, r), v in p.entries.items() if r == "kernel")
-    zeroed = sum(int((out[k] == 0).sum()) for k in p.entries if k[1] == "kernel")
+    zeroed = sum(int((out.entries[k] == 0).sum()) for k in p.entries if k[1] == "kernel")
     assert zeroed >= round(0.6 * total)
 
 
 def test_prune_opt_in_roles_cover_scales():
     p = params_of()
     out = prune(p, 1.0, seed=1, roles=("kernel", "scale"))
-    assert not out[(1, "scale")].any()
+    assert not out.entries[(1, "scale")].any()
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,15 @@ def test_train_out_of_range_key_exits_2(tmp_path, capsys, line):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spec", ["beta=-3.0", "beta=nan", "bits=-4 alpha=1.0 triggers=4",
+                                  "triggers=-2", "trigger_kind=fgsm"])
+def test_train_out_of_range_embed_spec_exits_2(tmp_path, capsys, spec):
+    manifest, out = write_manifest(tmp_path, MINIMAL + f"embed.1 = {spec}\n")
+    assert main(["train", str(manifest)]) == EXIT_INPUT
+    assert "embed.1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # verify
 

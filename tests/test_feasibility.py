@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from fedsign import feasibility
 from fedsign.errors import KeyMismatchError
 from fedsign.feasibility import (
+    WOLFE_TOL,
     StackedExtractors,
+    _min_norm_point,
     capacity_bound,
     check_conditions,
     decide,
@@ -118,6 +121,24 @@ def test_conditions_all_ones():
     assert check_conditions(se) == (False, True, True)
 
 
+def test_conditions_skip_the_svd_when_u_is_wide(monkeypatch):
+    def no_svd(a, rel_tol=None):
+        raise AssertionError("numerical_rank called on a wide U")
+    se = direct_se(np.eye(3, 5))  # rank 3 < 5 columns
+    monkeypatch.setattr(feasibility, "numerical_rank", no_svd)
+    assert check_conditions(se) == (False, False, False)
+
+
+def test_condition_rank_equals_full_column_rank_on_wide_and_tall():
+    for seed in range(60):
+        rng = rng_for("cond-rank-shape", seed)
+        m, cols = (int(v) for v in rng.integers(1, 9, size=2))
+        se = random_instance(rng, m=m, cols=cols)
+        if seed % 3 == 0:  # a repeated column drops the rank of a tall U
+            se.u[:, -1] = se.u[:, 0]
+        assert check_conditions(se)[0] == (numerical_rank(se.u) == cols), seed
+
+
 def test_condition_rank_holds_for_random_tall_matrices():
     for seed in range(100):
         rng = rng_for("cond1-mc", seed)
@@ -220,6 +241,126 @@ def test_report_summary_renders():
     r = decide(se)
     assert "Feasible" in r.summary()
     assert "rank=Y" in r.summary()
+
+
+# ---------------------------------------------------------------------------
+# the kept-corral solver against the solve-per-cycle one it replaced
+
+def reference_min_norm_point(gram, tol=WOLFE_TOL):
+    """Wolfe's algorithm with one dense solve of the corral's lifted Gram
+    per minor cycle, as `_min_norm_point` was before it kept the inverse."""
+    corral, weights = [int(np.argmin(np.diag(gram)))], np.ones(1)
+    last, iterations = np.inf, 0
+    while True:
+        iterations += 1
+        dots = weights @ gram[corral]
+        norm2 = weights @ dots[corral]
+        j = int(np.argmin(dots))
+        if norm2 - dots[j] <= tol * np.diag(gram).max() or j in corral or norm2 >= last:
+            return corral, weights, iterations
+        corral, weights, last = corral + [j], np.append(weights, 0.0), norm2
+        while True:
+            affine = np.linalg.solve(gram[np.ix_(corral, corral)] + 1.0, np.ones(len(corral)))
+            affine /= affine.sum()
+            if (affine > 0).all():
+                weights = affine
+                break
+            blocked = np.flatnonzero(affine <= 0)
+            ratios = weights[blocked] / (weights[blocked] - affine[blocked])
+            weights = weights + ratios.min() * (affine - weights)
+            weights[blocked[np.argmin(ratios)]] = 0.0
+            corral, weights = [c for c, wt in zip(corral, weights) if wt > 0], weights[weights > 0]
+
+
+def assert_matches_reference(gram, dim, same_corral=True):
+    """Same major cycles and the same point x: x^T u_j within 1e-9 for every
+    j.  With `same_corral`, also the same corral as a set and the same
+    weights within 1e-9.  Degenerate instances can write one x two ways (a
+    duplicate column, or a point whose weight is zero in exact arithmetic
+    and rounds to either sign), so there only x is compared."""
+    corral, weights, iterations = _min_norm_point(gram, dim=dim)
+    ref_corral, ref_weights, ref_iterations = reference_min_norm_point(gram)
+    assert iterations == ref_iterations
+    np.testing.assert_allclose(weights @ gram[corral], ref_weights @ gram[ref_corral],
+                               rtol=0, atol=1e-9)
+    if same_corral:
+        assert sorted(corral) == sorted(ref_corral)
+        np.testing.assert_allclose(weights[np.argsort(corral)],
+                                   ref_weights[np.argsort(ref_corral)], rtol=0, atol=1e-9)
+
+
+def unit_gram(u_tilde):
+    gram = u_tilde.T @ u_tilde
+    norms = np.sqrt(np.diag(gram))
+    return gram / np.outer(norms, norms)
+
+
+def assert_decide_matches_reference(se, monkeypatch):
+    report = decide(se)
+    with monkeypatch.context() as m:
+        m.setattr(feasibility, "_min_norm_point",
+                  lambda gram, dim: reference_min_norm_point(gram))
+        assert report.status == decide(se).status
+    return report
+
+
+def degenerate_instance(rng):
+    """Gaussian columns, each after the first possibly replaced by a
+    duplicate or the opposite of an earlier column, or a signed one-hot."""
+    m, cols = int(rng.integers(2, 7)), int(rng.integers(2, 10))
+    ut = rng.normal(size=(m, cols))
+    for c in range(1, cols):
+        kind = int(rng.integers(4))
+        if kind in (1, 2):
+            ut[:, c] = (1.0 if kind == 1 else -1.0) * ut[:, int(rng.integers(c))]
+        elif kind == 3:
+            ut[:, c] = 0.0
+            ut[int(rng.integers(m)), c] = rng.choice([-1.0, 1.0])
+    return direct_se(ut)
+
+
+def test_min_norm_point_matches_reference_on_random_instances(monkeypatch):
+    for seed in range(40):
+        se = random_instance(rng_for("decide-mc", seed))
+        assert_matches_reference(unit_gram(se.u_tilde), dim=se.u.shape[0])
+        assert_decide_matches_reference(se, monkeypatch)
+
+
+def test_min_norm_point_matches_reference_on_degenerate_instances(monkeypatch):
+    for seed in range(200):
+        se = degenerate_instance(rng_for("degenerate", seed))
+        assert_matches_reference(unit_gram(se.u_tilde), dim=se.u.shape[0], same_corral=False)
+        report = assert_decide_matches_reference(se, monkeypatch)
+        assert report.status != "unknown" and verify_certificate(se, report), seed
+
+
+@pytest.mark.parametrize("n_keys, bits, seed", [(12, 40, 1), (12, 40, 24), (12, 44, 1),
+                                                (10, 48, 1)])
+def test_min_norm_point_matches_reference_near_threshold(n_keys, bits, seed, monkeypatch):
+    net = build_mlp(32, [16, 16], 4, seed=0)
+    se = stack([keygen(net, k, bits, 0, "kernel", seed=seed) for k in range(n_keys)])
+    assert_matches_reference(unit_gram(se.u_tilde), dim=se.u.shape[0])
+    assert_decide_matches_reference(se, monkeypatch)
+
+
+def test_min_norm_point_refactors_when_rounding_breaks_the_border(monkeypatch):
+    """An indefinite 'Gram' matrix makes the bordered pivot s <= 0, which
+    only rounding can do to a true Gram matrix: the inverse is refactored
+    from the lifted Gram, and the answer is still the reference's."""
+    gram = np.array([[1.0, 0.5, -0.6], [0.5, 0.9, 0.8], [-0.6, 0.8, 1.5]])
+    assert np.linalg.eigvalsh(gram)[0] < 0
+    calls, inv = [], np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a.shape) or inv(a))
+    assert_matches_reference(gram, dim=3)
+    assert calls == [(3, 3)]  # the third point's border had s <= 0
+
+
+def test_min_norm_point_with_fewer_buffer_slots_than_points():
+    """12 points in R^3: buffers of min(N, dim + 1) + 1 = 5 points hold
+    every corral, and the answer is still the reference's."""
+    for seed in range(20):
+        se = random_instance(rng_for("wide-corral", seed), m=3, cols=12)
+        assert_matches_reference(unit_gram(se.u_tilde), dim=3)
 
 
 # ---------------------------------------------------------------------------

@@ -223,15 +223,15 @@ def test_dp_noise_std_and_determinism():
     a = add_dp_noise(p, 0.05, seed=("s", 1))
     b = add_dp_noise(p, 0.05, seed=("s", 1))
     assert a.equal(b)
-    std = a[(0, "kernel")].std()
+    std = a.entries[(0, "kernel")].std()
     assert abs(std - 0.05) <= 0.02 * 0.05
 
 
 def test_dp_noise_leaves_running_stats_alone():
     p = ModelParams({(0, "scale"): np.ones(50), (0, "running_var"): np.ones(50)})
     noisy = add_dp_noise(p, 0.1, seed=1)
-    assert not np.array_equal(noisy[(0, "scale")], p[(0, "scale")])
-    np.testing.assert_array_equal(noisy[(0, "running_var")], p[(0, "running_var")])
+    assert not np.array_equal(noisy.entries[(0, "scale")], p.entries[(0, "scale")])
+    np.testing.assert_array_equal(noisy.entries[(0, "running_var")], p.entries[(0, "running_var")])
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +243,7 @@ def make_vec(*values):
 
 def test_aggregate_equal_weights():
     out = aggregate([(0, make_vec(1.0, 0.0), 10), (1, make_vec(0.0, 1.0), 10)])
-    np.testing.assert_allclose(out[(0, "kernel")], [0.5, 0.5])
+    np.testing.assert_allclose(out.entries[(0, "kernel")], [0.5, 0.5])
 
 
 def test_aggregate_single_client_identity():
@@ -254,7 +254,7 @@ def test_aggregate_single_client_identity():
 
 def test_aggregate_weighted_mean():
     out = aggregate([(0, make_vec(0.0), 1), (1, make_vec(4.0), 3)])
-    assert out[(0, "kernel")][0] == pytest.approx(3.0)
+    assert out.entries[(0, "kernel")][0] == pytest.approx(3.0)
 
 
 def test_aggregate_rejects_mismatched_keys():
@@ -385,4 +385,4 @@ def test_fedavg_preserves_key_sets_and_shapes():
     start = net.get_params()
     final, _ = run_federation(cfg, clients, net)
     assert final.entries.keys() == start.entries.keys()
-    assert all(final[k].shape == start[k].shape for k in final.entries)
+    assert all(final.entries[k].shape == start.entries[k].shape for k in final.entries)

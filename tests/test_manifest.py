@@ -95,6 +95,24 @@ def test_missing_watermark_spec_rejected():
         parse_manifest("embed.0 = beta=1.0 bits=0")
 
 
+@pytest.mark.parametrize("spec, key", [("beta=-3.0", "beta"), ("beta=nan", "beta"),
+                                       ("beta=inf", "beta"), ("alpha=-1.0 triggers=4", "alpha"),
+                                       ("alpha=nan triggers=4", "alpha"),
+                                       ("bits=-4 alpha=1.0 triggers=4", "bits"),
+                                       ("bits=0", "bits"), ("triggers=-2", "triggers"),
+                                       ("trigger_kind=fgsm", "trigger_kind")])
+def test_embed_fields_out_of_range_name_the_client(spec, key):
+    with pytest.raises(ConfigError, match=f"embed.0.*{key}"):
+        parse_manifest(f"embed.0 = {spec}")
+
+
+def test_embed_fields_in_range_accepted():
+    m = parse_manifest("embed.0 = bits=1 triggers=0 alpha=0.0 beta=0.0 trigger_kind=pgd")
+    spec = m.embed[0]
+    assert (spec.n_bits, spec.n_triggers, spec.alpha, spec.beta) == (1, 0, 0.0, 0.0)
+    assert spec.trigger_kind == "pgd"
+
+
 def test_alpha_needs_triggers():
     with pytest.raises(ConfigError, match="triggers"):
         parse_manifest("embed.0 = alpha=1.0")

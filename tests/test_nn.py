@@ -87,8 +87,8 @@ def test_linear_layer_gradient_is_input_outer_product():
     net.forward(x, train=True)
     # loss = sum of logits -> dlogits = 1
     grads = net.backward(np.ones((5, 2)))
-    np.testing.assert_allclose(grads[(0, "kernel")], x.T @ np.ones((5, 2)))
-    np.testing.assert_allclose(grads[(0, "bias")], np.full(2, 5.0))
+    np.testing.assert_allclose(grads.entries[(0, "kernel")], x.T @ np.ones((5, 2)))
+    np.testing.assert_allclose(grads.entries[(0, "bias")], np.full(2, 5.0))
 
 
 def test_zero_upstream_gradient_gives_zero_grads():
@@ -194,8 +194,8 @@ def test_plain_sgd_update():
     p = make_params()
     g = ModelParams({(0, "kernel"): np.array([1.0, -1.0]), (0, "bias"): np.array([2.0])})
     SgdMomentum(p, momentum=0.0).step(p, g, lr=0.01)
-    np.testing.assert_allclose(p[(0, "kernel")], [0.99, 2.01])
-    np.testing.assert_allclose(p[(0, "bias")], [0.48])
+    np.testing.assert_allclose(p.entries[(0, "kernel")], [0.99, 2.01])
+    np.testing.assert_allclose(p.entries[(0, "bias")], [0.48])
 
 
 def test_zero_grad_keeps_params():
@@ -212,7 +212,7 @@ def test_two_momentum_steps_unroll():
     opt = SgdMomentum(p, momentum=0.9)
     opt.step(p, g, lr=1.0)
     opt.step(p, g, lr=1.0)
-    np.testing.assert_allclose(p[(0, "kernel")], np.full(3, -(1.0 + 1.9)))
+    np.testing.assert_allclose(p.entries[(0, "kernel")], np.full(3, -(1.0 + 1.9)))
 
 
 def test_sgd_key_mismatch_raises():

@@ -166,7 +166,7 @@ def test_hinge_zero_iff_margins_met_and_verifies():
     good = scale_params(0.2 * bits.astype(float))
     loss, grads = hinge_reg(good, key)
     assert loss == 0.0
-    assert not grads[(0, "scale")].any()
+    assert not grads.entries[(0, "scale")].any()
     assert verify_white(good, key).hamming == 0
     # one bit dips under the margin -> positive loss
     w = 0.2 * bits.astype(float)
@@ -175,7 +175,7 @@ def test_hinge_zero_iff_margins_met_and_verifies():
 
 
 def _fd_reg(reg, params, key, probe, idx, h=1e-6):
-    arr = params[probe]
+    arr = params.entries[probe]
     orig = arr.flat[idx]
     arr.flat[idx] = orig + h
     up = reg(params, key)[0]
@@ -200,7 +200,7 @@ def test_regularizer_gradients_match_finite_differences(reg):
         _, grads = reg(params, key)
         for idx in rng.choice(10, size=6, replace=False):
             fd = _fd_reg(reg, params, key, (0, "scale"), idx)
-            a = grads[(0, "scale")].flat[idx]
+            a = grads.entries[(0, "scale")].flat[idx]
             assert abs(a - fd) <= 1e-4 * max(abs(a), abs(fd), 1e-3)
 
 
@@ -219,7 +219,7 @@ def test_gradients_vanish_on_satisfied_bits():
     key = FakeKey([1, 1, -1, -1], scale_extractor(4, matrix=e), margin=0.1)
     params = scale_params([0.5, 0.05, -0.5, 0.02])
     _, grads = hinge_reg(params, key)
-    g = grads[(0, "scale")]
+    g = grads.entries[(0, "scale")]
     assert g[0] == 0.0 and g[2] == 0.0  # satisfied
     assert g[1] == -1.0 and g[3] == 1.0  # active, pushes toward the sign
 
