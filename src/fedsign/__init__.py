@@ -7,7 +7,7 @@ from .errors import CapacityError, ConfigError, FedsignError, FormatError, KeyMi
 from .feasibility import FeasibilityReport, StackedExtractors, capacity_bound, check_conditions, decide, stack
 from .federation import ClientState, FedConfig, RoundLog, WatermarkSpec, add_dp_noise, aggregate, client_update, run_federation, sample_clients, setup_clients
 from .manifest import RunManifest, load_manifest, parse_manifest
-from .metrics import ExperimentSummary, false_positive_analysis, fidelity_sweep, reliability_sweep, robustness_sweep, trigger_reliability_sweep
+from .metrics import ExperimentSummary, false_positive_analysis, run_sweep
 from .nn import ModelParams, Network, accuracy, build_cnn, build_mlp, cross_entropy, fit, network_from_descriptor, sgd_epochs
 from .watermark import ExtractionKey, VerificationResult, WatermarkKey, bce_reg, extract, hinge_reg, keygen, load_key, read_bits, save_key, verify_black, verify_white
 

@@ -6,6 +6,7 @@ configuration error, 3 internal error.
 """
 
 import argparse
+import math
 import os
 import sys
 
@@ -15,13 +16,7 @@ from .errors import FedsignError
 from .feasibility import decide, stack
 from .federation import round_logs_to_csv
 from .manifest import load_manifest
-from .metrics import (
-    derive_seeds,
-    fidelity_sweep,
-    reliability_sweep,
-    robustness_sweep,
-    trigger_reliability_sweep,
-)
+from .metrics import derive_seeds, run_sweep
 from .nn import ModelParams, network_from_descriptor
 from .runner import make_data, run_once
 from .watermark import load_key, save_key, verify_black, verify_white
@@ -139,24 +134,7 @@ def cmd_attack(args):
 
 def cmd_sweep(args):
     m = load_manifest(args.manifest)
-    if not m.sweep_kind:
-        raise FedsignError("manifest has no sweep.kind")
-    os.makedirs(m.out_dir, exist_ok=True)
-    seeds = derive_seeds(m.seed, m.sweep_seeds)
-    values = m.sweep_values
-    if m.sweep_kind == "fidelity_bits":
-        summaries = [fidelity_sweep(m, values, seeds, axis="bits", out_dir=m.out_dir)]
-    elif m.sweep_kind == "fidelity_triggers":
-        summaries = [fidelity_sweep(m, values, seeds, axis="triggers", out_dir=m.out_dir)]
-    elif m.sweep_kind == "reliability_bits":
-        n_w = len(m.embed) or 4
-        summaries = [reliability_sweep(m, values, n_w, seeds, out_dir=m.out_dir)]
-    elif m.sweep_kind == "reliability_triggers":
-        n_b = len(m.embed) or 4
-        summaries = [trigger_reliability_sweep(m, values, n_b, seeds, out_dir=m.out_dir)]
-    else:
-        summaries = list(robustness_sweep(m, m.sweep_kind, values, seeds,
-                                          out_dir=m.out_dir).values())
+    summaries = run_sweep(m, derive_seeds(m.seed, m.sweep_seeds))
     for s in summaries:
         mark = "" if s.capacity_mark is None else f" (capacity bound: {s.capacity_mark})"
         print(f"sweep {s.axis} -> {s.metric}, {s.n_seeds} seeds{mark}")
@@ -199,6 +177,17 @@ def cmd_info(args):
 # ---------------------------------------------------------------------------
 # argument plumbing
 
+def _in_range(kind, low, high, text):
+    """An argparse type: `kind` values in [low, high] (nan is out)."""
+    def parse(raw):
+        value = kind(raw)
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"must lie in {text}, got {raw}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names the type in its errors
+    return parse
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="fedsign",
                                 description="Federated ownership-signature simulator")
@@ -212,10 +201,10 @@ def build_parser():
     v.add_argument("checkpoint")
     v.add_argument("keyfile")
     v.add_argument("--mode", choices=("white", "black", "both"), default="white")
-    v.add_argument("--eps-h", type=int, default=None,
-                   help="max Hamming distance (default: 5%% of the bit length)")
-    v.add_argument("--eps-y", type=float, default=0.2,
-                   help="max trigger error rate")
+    v.add_argument("--eps-h", type=_in_range(int, 0, math.inf, "[0, inf)"), default=None,
+                   help="max Hamming distance, >= 0 (default: 5%% of the bit length)")
+    v.add_argument("--eps-y", type=_in_range(float, 0.0, 1.0, "[0, 1]"), default=0.2,
+                   help="max trigger error rate, in [0, 1]")
     v.set_defaults(func=cmd_verify)
 
     f = sub.add_parser("feasibility", help="joint-embedding feasibility of keyfiles")

@@ -202,6 +202,12 @@ def _validate(m):
             if not (math.isfinite(v) and v == int(v) and v >= 1):
                 raise ConfigError(f"sweep.values of sweep.kind = {m.sweep_kind} must be "
                                   f"whole counts >= 1, got {v!r}")
+    elif m.sweep_kind:
+        for v in m.sweep_values:
+            try:
+                m.with_fed(**{m.sweep_kind: v})  # FedConfig range-checks each rate
+            except ConfigError as exc:
+                raise ConfigError(f"sweep.values: {exc}, got {v!r}") from None
     for rate in m.attack_prune:
         if not 0.0 <= rate <= 1.0:  # nan fails too
             raise ConfigError(f"attack.prune rates must lie in [0, 1], got {rate!r}")

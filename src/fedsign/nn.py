@@ -497,10 +497,12 @@ def _xent(logits, labels):
     unscaled gradient softmax - onehot.  Labels are not range-checked here.
     """
     z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    total = e.sum(axis=-1, keepdims=True)
     k = logits.shape[-1]
     rows, flat = np.arange(labels.size), labels.reshape(-1)
-    logp = (z - np.log(np.exp(z).sum(axis=-1, keepdims=True))).reshape(-1, k)[rows, flat]
-    dlogits = softmax(logits)
+    logp = (z - np.log(total)).reshape(-1, k)[rows, flat]
+    dlogits = e / total
     dlogits.reshape(-1, k)[rows, flat] -= 1.0
     return logp.reshape(labels.shape), dlogits
 

@@ -271,13 +271,12 @@ def verify_black(net, triggers, eps_y=DEFAULT_EPS_Y):
 # ---------------------------------------------------------------------------
 # keyfile serialization
 
-def save_key(key, path, trigger_path=None):
-    """Write the secret keyfile (0600).  Triggers, if any, go to a sibling
-    artifact referenced by relative name."""
+def save_key(key, path):
+    """Write the secret keyfile (0600).  Triggers, if any, go to the sibling
+    artifact `<path>.triggers`, referenced by its file name."""
     ref = ""
     if key.triggers is not None:
-        if trigger_path is None:
-            trigger_path = str(path) + ".triggers"
+        trigger_path = f"{path}.triggers"
         key.triggers.save(trigger_path)
         ref = os.path.basename(trigger_path)
     io.save_keyfile(
@@ -309,9 +308,10 @@ def load_key(path):
     _check_key(raw)
     extractor = ExtractionKey(raw["selector"], raw["pool_size"],
                               coords=raw["coords"], matrix=raw["matrix"])
-    triggers = None
-    if raw["trigger_ref"]:
-        triggers = TriggerSet.load(os.path.join(os.path.dirname(os.path.abspath(path)),
-                                                raw["trigger_ref"]))
+    ref, triggers = raw["trigger_ref"], None
+    if ref:
+        if ref != os.path.basename(ref) or ref in (".", ".."):
+            raise FormatError(f"keyfile trigger reference {ref!r} is not a sibling file name")
+        triggers = TriggerSet.load(os.path.join(os.path.dirname(os.path.abspath(path)), ref))
     return WatermarkKey(raw["client_id"], raw["bits"], extractor, triggers,
                         raw["margin"], raw["seed"])

@@ -3,6 +3,18 @@ import numpy as np
 from fedsign.nn import cross_entropy
 
 # ---------------------------------------------------------------------------
+# independent false-positive oracle, used by the metrics unit tests and the
+# acceptance suite
+
+def pascal_tail(n, eps):
+    """Binomial tail via Pascal's triangle."""
+    row = [1]
+    for _ in range(n):
+        row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
+    return sum(row[: min(eps, n) + 1]) / 2 ** n
+
+
+# ---------------------------------------------------------------------------
 # independent feasibility oracles (random directions + LP), used by both the
 # feasibility unit tests and the acceptance suite
 

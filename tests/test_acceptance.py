@@ -34,8 +34,7 @@ from fedsign.watermark import (
     verify_black,
 )
 
-from conftest import gradcheck, oracle_feasible_random, oracle_infeasible_lp, random_instance
-from test_metrics import pascal_tail
+from conftest import gradcheck, oracle_feasible_random, oracle_infeasible_lp, pascal_tail, random_instance
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -351,7 +350,7 @@ def test_criterion_11_determinism_and_formats(tmp_path):
     assert resaved.read_bytes() == (out / "checkpoint.bin").read_bytes()
     key = load_key(out / "client_0.key")
     resaved_key = tmp_path / "resaved.key"
-    save_key(key, resaved_key, trigger_path=str(resaved_key) + ".triggers")
+    save_key(key, resaved_key)
     again = load_key(resaved_key)
     assert np.array_equal(again.bits, key.bits)
     assert np.array_equal(again.extractor.coords, key.extractor.coords)

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import fedsign.cli
+import fedsign.metrics
+import fedsign.watermark
 from fedsign import io
 from fedsign.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_VERIFY_FAILED, main
 from fedsign.nn import build_mlp
@@ -123,6 +125,37 @@ def test_verify_black_and_both_modes(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "mode=white" in text and "mode=black" in text
     assert code in (EXIT_OK, EXIT_VERIFY_FAILED)
+
+
+@pytest.mark.parametrize("radius", [["--eps-h", "-1"], ["--eps-y", "nan"],
+                                    ["--eps-y", "-0.5"], ["--eps-y", "7"]])
+def test_verify_bad_radius_exits_2(trained, capsys, radius):
+    _, out = trained
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", str(out / "checkpoint.bin"), str(out / "client_0.key"), *radius])
+    assert exc.value.code == EXIT_INPUT
+    assert radius[0] in capsys.readouterr().err
+
+
+def test_verify_edge_radii_are_accepted(trained):
+    _, out = trained
+    for radius in (["--eps-h", "0"], ["--eps-y", "0"], ["--eps-y", "1"]):
+        assert main(["verify", str(out / "checkpoint.bin"), str(out / "client_0.key"),
+                     *radius]) == EXIT_OK
+
+
+def test_verify_black_with_foreign_trigger_ref_is_input_error(tmp_path, capsys):
+    manifest, out = write_manifest(tmp_path, WITH_TRIGGERS)
+    assert main(["train", str(manifest)]) == EXIT_OK
+    key = fedsign.watermark.load_key(out / "client_0.key")
+    forged = tmp_path / "elsewhere" / "client_0.key"
+    forged.parent.mkdir()
+    io.save_keyfile(forged, client_id=0, mode="scale", seed=key.seed, bits=key.bits,
+                    selector=key.extractor.selector, pool_size=key.extractor.pool_size,
+                    coords=key.extractor.coords, trigger_ref="../out/client_0.key.triggers")
+    code = main(["verify", str(out / "checkpoint.bin"), str(forged), "--mode", "black"])
+    assert code == EXIT_INPUT
+    assert "trigger reference" in capsys.readouterr().err
 
 
 def test_verify_black_without_triggers_is_input_error(trained, capsys):
@@ -250,6 +283,18 @@ def test_attack_bad_grid_exits_2_before_loading(trained, capsys, line):
 # ---------------------------------------------------------------------------
 # sweep
 
+SWEEPS = {  # kind -> (values, metric files, rows per raw file)
+    "fidelity_bits": ("2,4", ["fidelity_bits"], 1 + 3 * 2),  # + the zero-payload point
+    "fidelity_triggers": ("2,4", ["fidelity_triggers"], 1 + 3 * 2),
+    "reliability_bits": ("2,4", ["reliability_bits"], 1 + 2 * 2),
+    "reliability_triggers": ("2,4", ["reliability_triggers"], 1 + 2 * 2),
+    "dp_sigma": ("0.0,0.01", [f"dp_sigma_{m}" for m in ("accuracy", "eta", "trigger_detection")],
+                 1 + 2 * 2),
+    "fraction": ("0.5,1.0", [f"fraction_{m}" for m in ("accuracy", "eta", "trigger_detection")],
+                 1 + 2 * 2),
+}
+
+
 def test_sweep_row_counts(tmp_path, capsys):
     manifest, out = write_manifest(
         tmp_path, MINIMAL + "sweep.kind = reliability_bits\n"
@@ -258,6 +303,63 @@ def test_sweep_row_counts(tmp_path, capsys):
     raw = (out / "reliability_bits_raw.csv").read_text().strip().split("\n")
     assert len(raw) == 1 + 2 * 2  # header + |grid| x |seeds|
     assert (out / "reliability_bits_summary.csv").exists()
+
+
+@pytest.mark.parametrize("kind", SWEEPS)
+def test_sweep_every_kind_writes_its_files(tmp_path, capsys, kind):
+    values, names, n_rows = SWEEPS[kind]
+    manifest, out = write_manifest(
+        tmp_path, WITH_TRIGGERS + f"sweep.kind = {kind}\nsweep.values = {values}\n"
+        "sweep.seeds = 2\n")
+    assert main(["sweep", str(manifest)]) == EXIT_OK
+    assert sorted(os.listdir(out)) == sorted(f"{n}_{part}.csv" for n in names
+                                             for part in ("raw", "summary"))
+    for name in names:
+        assert len((out / f"{name}_raw.csv").read_text().strip().split("\n")) == n_rows
+    heads = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("sweep ")]
+    assert len(heads) == len(names)
+
+
+@pytest.mark.parametrize("kind", SWEEPS)
+def test_sweep_without_embed_lines_exits_2_before_training(tmp_path, capsys, kind):
+    values = SWEEPS[kind][0]
+    manifest, out = write_manifest(
+        tmp_path, MINIMAL.replace("embed.0", "# embed.0")
+        + f"sweep.kind = {kind}\nsweep.values = {values}\n")
+    assert main(["sweep", str(manifest)]) == EXIT_INPUT
+    assert "sweep.kind" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["fidelity_bits", "fidelity_triggers",
+                                  "reliability_bits", "reliability_triggers"])
+def test_sweep_embeds_the_manifest_clients(tmp_path, monkeypatch, kind):
+    """Count sweeps resize the signatures of the clients the manifest names."""
+    seen = []
+
+    def spy(m, seed):
+        seen.append(sorted(m.embed))
+        return real(m, seed)
+
+    real = fedsign.metrics.run_once
+    monkeypatch.setattr(fedsign.metrics, "run_once", spy)
+    manifest, _ = write_manifest(
+        tmp_path, MINIMAL.replace("clients = 2", "clients = 4").replace("embed.0", "embed.2")
+        + "embed.3 = mode=scale bits=4 beta=1.0\n"
+        f"sweep.kind = {kind}\nsweep.values = 2\nsweep.seeds = 1\n")
+    assert main(["sweep", str(manifest)]) == EXIT_OK
+    assert [2, 3] in seen
+    assert all(ids in ([], [2, 3]) for ids in seen)  # [] is fidelity's zero point
+
+
+@pytest.mark.parametrize("kind, value", [("fraction", "1.5"), ("fraction", "0"),
+                                         ("dp_sigma", "-0.01"), ("dp_sigma", "nan")])
+def test_sweep_rate_values_out_of_range_exit_2(tmp_path, capsys, kind, value):
+    manifest, out = write_manifest(
+        tmp_path, MINIMAL + f"sweep.kind = {kind}\nsweep.values = 0.5,{value}\n")
+    assert main(["sweep", str(manifest)]) == EXIT_INPUT
+    assert "sweep.values" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["1e400", "2.5"])

@@ -131,9 +131,20 @@ def test_count_sweep_values_must_be_whole_counts(kind, value):
         parse_manifest(f"sweep.kind = {kind}\nsweep.values = 4,{value}")
 
 
+@pytest.mark.parametrize("kind, value", [("fraction", "1.5"), ("fraction", "0"),
+                                         ("fraction", "-0.5"), ("fraction", "nan"),
+                                         ("dp_sigma", "-0.01"), ("dp_sigma", "nan"),
+                                         ("dp_sigma", "inf")])
+def test_rate_sweep_values_must_be_in_range(kind, value):
+    with pytest.raises(ConfigError, match="sweep.values"):
+        parse_manifest(f"sweep.kind = {kind}\nsweep.values = 0.5,{value}")
+
+
 def test_count_sweep_accepts_whole_floats_and_rate_sweeps_take_fractions():
     assert parse_manifest("sweep.kind = fidelity_bits\nsweep.values = 4,8.0").sweep_values == (4.0, 8.0)
     assert parse_manifest("sweep.kind = fraction\nsweep.values = 0.25,0.5").sweep_values == (0.25, 0.5)
+    assert parse_manifest("sweep.kind = fraction\nsweep.values = 1").sweep_values == (1.0,)
+    assert parse_manifest("sweep.kind = dp_sigma\nsweep.values = 0,0.03").sweep_values == (0.0, 0.03)
 
 
 def test_bad_arch_rejected():

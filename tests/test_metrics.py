@@ -1,22 +1,15 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fedsign.errors import ConfigError
 from fedsign.manifest import parse_manifest
-from fedsign.metrics import (
-    _summary_from_rows,
-    derive_seeds,
-    false_positive_analysis,
-    fidelity_sweep,
-    reliability_sweep,
-    robustness_sweep,
-    summarize_csv,
-    trigger_reliability_sweep,
-    write_raw_csv,
-)
+from fedsign.metrics import derive_seeds, false_positive_analysis, run_sweep, summarize_csv, write_raw_csv
 from fedsign.runner import run_once
+
+from conftest import pascal_tail
 
 TINY = """
 classes = 3
@@ -32,16 +25,17 @@ def tiny_base(extra=""):
     return parse_manifest(TINY + extra)
 
 
+def sweep_base(out_dir, kind, values, embed):
+    """The tiny manifest with one sweep and `embed` lines, writing to out_dir."""
+    return tiny_base(f"out_dir = {out_dir}\nsweep.kind = {kind}\nsweep.values = {values}\n"
+                     + embed)
+
+
+FEATURE = "mode=scale bits=4 beta=1.0"
+
+
 # ---------------------------------------------------------------------------
 # false positive math
-
-def pascal_tail(n, eps):
-    """Independent oracle: binomial tail via Pascal's triangle."""
-    row = [1]
-    for _ in range(n):
-        row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
-    return sum(row[: min(eps, n) + 1]) / 2 ** n
-
 
 def test_false_positive_closed_forms():
     assert false_positive_analysis(8, 0) == 1 / 256
@@ -65,26 +59,16 @@ def test_false_positive_validates():
 # csv aggregation
 
 def test_summary_is_recomputed_from_raw_rows(tmp_path):
-    rows = [(1.0, 0, 0.5), (1.0, 1, 0.7), (2.0, 0, 0.9), (2.0, 1, 0.9)]
+    rows = [(2.5, 0, 1 / 3), (1, 0, 0.1), (2.5, 1, 2 / 3), (1, 1, 0.2),
+            (0, 3, 0.7), (2.5, 2, 1e-17)]
     path = tmp_path / "raw.csv"
     write_raw_csv(rows, path)
     points = summarize_csv(path)
-    assert [p[0] for p in points] == [1.0, 2.0]
-    by_axis = {1.0: [0.5, 0.7], 2.0: [0.9, 0.9]}
-    for value, mean, std in points:
+    assert [p[0] for p in points] == [0.0, 1.0, 2.5]  # mixed int/float axes, sorted
+    by_axis = {0.0: [0.7], 1.0: [0.1, 0.2], 2.5: [1 / 3, 2 / 3, 1e-17]}
+    for value, mean, std in points:  # exact: every metric, 1e-17 too, survives the CSV
         assert mean == pytest.approx(np.mean(by_axis[value]), abs=0)
         assert std == pytest.approx(np.std(by_axis[value]), abs=0)
-
-
-def test_in_memory_summary_equals_file_summary(tmp_path):
-    rows = [(2.5, 0, 1 / 3), (1, 0, 0.1), (2.5, 1, 2 / 3), (1, 1, 0.2),
-            (0, 3, 0.7), (2.5, 2, 1e-17)]
-    in_memory = _summary_from_rows(rows, "bits", "eta", 3)
-    from_file = _summary_from_rows(rows, "bits", "eta", 3, out_dir=tmp_path, name="s")
-    assert repr(in_memory.points) == repr(from_file.points)
-    assert in_memory == from_file
-    assert [p[0] for p in in_memory.points] == [0.0, 1.0, 2.5]
-    assert sorted(f.name for f in tmp_path.iterdir()) == ["s_raw.csv", "s_summary.csv"]
 
 
 def test_raw_csv_layout(tmp_path):
@@ -105,13 +89,11 @@ def test_derive_seeds_deterministic():
 # sweeps at smoke scale
 
 def test_fidelity_sweep_baseline_matches_plain_run(tmp_path):
-    base = tiny_base("embed.0 = mode=scale bits=4 beta=1.0\n")
+    base = sweep_base(tmp_path, "fidelity_bits", "4", f"embed.0 = {FEATURE}\n")
     seeds = [11, 12]
-    summary = fidelity_sweep(base, values=[4], seeds=seeds, axis="bits",
-                             out_dir=str(tmp_path))
+    summary, = run_sweep(base, seeds)
     assert [p[0] for p in summary.points] == [0.0, 4.0]
     # the zero-payload point is exactly plain FedAvg under the same seeds
-    from dataclasses import replace
     plain = [run_once(replace(base, embed={}), s).final_accuracy for s in seeds]
     value, mean, _ = summary.points[0]
     assert value == 0.0 and mean == pytest.approx(np.mean(plain), abs=0)
@@ -120,43 +102,45 @@ def test_fidelity_sweep_baseline_matches_plain_run(tmp_path):
 
 
 def test_reliability_sweep_marks_capacity(tmp_path):
-    base = tiny_base()
-    summary = reliability_sweep(base, bit_lengths=[4], n_w=2, seeds=[3],
-                                out_dir=str(tmp_path))
+    base = sweep_base(tmp_path, "reliability_bits", "4",
+                      f"embed.0 = {FEATURE}\nembed.1 = {FEATURE}\n")
+    summary, = run_sweep(base, [3])
     assert summary.capacity_mark == 32
     assert len(summary.points) == 1
     assert 0.0 <= summary.points[0][1] <= 1.0
-    assert (tmp_path / "reliability_bits_summary.csv").exists()
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["reliability_bits_raw.csv",
+                                                          "reliability_bits_summary.csv"]
 
 
 def test_trigger_reliability_sweep_rows(tmp_path):
-    base = tiny_base()
-    summary = trigger_reliability_sweep(base, trigger_counts=[5], n_b=2,
-                                        seeds=[3, 4], out_dir=str(tmp_path))
+    base = sweep_base(tmp_path, "reliability_triggers", "5",
+                      f"embed.0 = {FEATURE}\nembed.1 = {FEATURE}\n")
+    summary, = run_sweep(base, [3, 4])
     assert summary.metric == "trigger_detection"
     assert len(summary.points) == 1
 
 
 def test_robustness_sweep_emits_all_metrics(tmp_path):
-    base = tiny_base("embed.0 = mode=scale bits=4 beta=1.0 triggers=3 alpha=0.5\n")
-    out = robustness_sweep(base, "dp_sigma", values=[0.0, 0.01], seeds=[3],
-                           out_dir=str(tmp_path))
-    assert set(out) == {"accuracy", "eta", "trigger_detection"}
-    assert all(len(s.points) == 2 for s in out.values())
+    base = sweep_base(tmp_path, "dp_sigma", "0.0,0.01",
+                      f"embed.0 = {FEATURE} triggers=3 alpha=0.5\n")
+    out = run_sweep(base, [3])
+    assert [s.metric for s in out] == ["accuracy", "eta", "trigger_detection"]
+    assert all(len(s.points) == 2 for s in out)
 
 
-def test_robustness_sweep_validates():
-    with pytest.raises(ConfigError):
-        robustness_sweep(tiny_base(), "dp_sigma", values=[0.0], seeds=[1])
-    base = tiny_base("embed.0 = mode=scale bits=4 beta=1.0\n")
-    with pytest.raises(ConfigError):
-        robustness_sweep(base, "learning_rate", values=[0.0], seeds=[1])
+def test_robustness_sweep_validates(tmp_path):
+    with pytest.raises(ConfigError, match="sweep.kind"):
+        run_sweep(sweep_base(tmp_path / "out", "dp_sigma", "0.0", ""), [1])
+    base = sweep_base(tmp_path / "out", "dp_sigma", "0.0", f"embed.0 = {FEATURE}\n")
+    with pytest.raises(ConfigError, match="sweep.kind"):
+        run_sweep(replace(base, sweep_kind="learning_rate"), [1])
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_reproducible(tmp_path):
-    base = tiny_base()
-    a = reliability_sweep(base, [4], n_w=1, seeds=[9], out_dir=str(tmp_path / "a"))
-    b = reliability_sweep(base, [4], n_w=1, seeds=[9], out_dir=str(tmp_path / "b"))
+    base = sweep_base(tmp_path, "reliability_bits", "4", f"embed.0 = {FEATURE}\n")
+    a, = run_sweep(replace(base, out_dir=str(tmp_path / "a")), [9])
+    b, = run_sweep(replace(base, out_dir=str(tmp_path / "b")), [9])
     assert a.points == b.points
     assert (tmp_path / "a" / "reliability_bits_raw.csv").read_bytes() == \
            (tmp_path / "b" / "reliability_bits_raw.csv").read_bytes()

@@ -1,5 +1,5 @@
 from fedsign.manifest import parse_manifest
-from fedsign.metrics import reliability_sweep, trigger_reliability_sweep
+from fedsign.metrics import run_sweep
 from fedsign.runner import run_once
 
 DESK = """
@@ -10,6 +10,9 @@ clients = 8
 rounds = 60
 seed = 0
 """
+
+# the four embedding clients of the DESK sweeps
+EMBED4 = "".join(f"embed.{k} = mode=scale bits=8 beta=3.0\n" for k in range(4))
 
 
 def test_run_once_deterministic_and_seed_sensitive():
@@ -40,17 +43,18 @@ def test_pgd_trigger_pipeline_trains_vanilla_model():
     assert result.logs[-1].trigger_error[0] <= 0.4
 
 
-def test_reliability_sweep_within_capacity_hits_one():
-    base = parse_manifest(DESK)
-    summary = reliability_sweep(base, bit_lengths=[8], n_w=4, seeds=[0, 1])
+def test_reliability_sweep_within_capacity_hits_one(tmp_path):
+    base = parse_manifest(DESK + EMBED4 + f"out_dir = {tmp_path}\n"
+                          "sweep.kind = reliability_bits\nsweep.values = 8\n")
+    summary, = run_sweep(base, [0, 1])
     assert summary.capacity_mark == 32
     assert summary.points[0][1] == 1.0  # mean eta over seeds
 
 
-def test_trigger_detection_flat_across_counts():
-    base = parse_manifest(DESK)
-    summary = trigger_reliability_sweep(base, trigger_counts=[5, 12], n_b=4,
-                                        seeds=[0, 1])
+def test_trigger_detection_flat_across_counts(tmp_path):
+    base = parse_manifest(DESK + EMBED4 + f"out_dir = {tmp_path}\n"
+                          "sweep.kind = reliability_triggers\nsweep.values = 5,12\n")
+    summary, = run_sweep(base, [0, 1])
     rates = [mean for _, mean, _ in summary.points]
     assert all(r >= 0.8 for r in rates)
     assert max(rates) - min(rates) <= 0.05

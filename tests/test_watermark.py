@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from fedsign import io
 from fedsign.data import make_synthetic
-from fedsign.errors import CapacityError, KeyMismatchError
+from fedsign.errors import CapacityError, FormatError, KeyMismatchError
 from fedsign.nn import ModelParams, build_mlp, fit, rng_for
 from fedsign.watermark import (
     ExtractionKey,
@@ -319,3 +320,22 @@ def test_keyfile_roundtrip_kernel(tmp_path):
     assert back.triggers is None
     # loaded key verifies against the same model exactly like the original
     assert verify_white(net.params, back).hamming == verify_white(net.params, key).hamming
+
+
+@pytest.mark.parametrize("ref", ["../other/client_4.key.triggers", "ABSOLUTE",
+                                 "other/client_4.key.triggers", ".", ".."])
+def test_keyfile_trigger_ref_must_be_a_sibling_name(tmp_path, ref):
+    """A forged reference may not reach another directory's trigger set."""
+    ds = make_synthetic(4, 30, seed=2)
+    key = keygen(build_mlp(32, [16, 16], 4, seed=3), 4, 8, 12, "scale", seed=13, dataset=ds)
+    (tmp_path / "other").mkdir()
+    save_key(key, tmp_path / "other" / "client_4.key")  # a real trigger set to point at
+    (tmp_path / "run").mkdir()
+    if ref == "ABSOLUTE":
+        ref = str(tmp_path / "other" / "client_4.key.triggers")
+    forged = tmp_path / "run" / "client_4.key"
+    io.save_keyfile(forged, client_id=4, mode="scale", seed=13, bits=key.bits,
+                    selector=key.extractor.selector, pool_size=key.extractor.pool_size,
+                    coords=key.extractor.coords, trigger_ref=ref)
+    with pytest.raises(FormatError, match="trigger reference"):
+        load_key(forged)
