@@ -128,17 +128,13 @@ def client_update(net, states, global_params, cfg, round_index=0):
     stack.set_params(global_params)
     triggers, regs = [], []
     for state in states:
-        feature_reg = _reg_for(state.loss_kind)
         trig = reg = None
         if state.alpha > 0:
             t = state.key.triggers
             trig = (t.samples, t.target_labels, state.alpha, cfg.backdoor_batch,
                     rng_for(cfg.seed, "trigger-batches", round_index, state.client_id))
         if state.beta > 0:
-            def reg(params, feature_reg=feature_reg, key=state.key, beta=state.beta):
-                loss, grads = feature_reg(params, key)
-                grads.vec *= beta
-                return loss, grads
+            reg = (_reg_for(state.loss_kind), state.key, state.beta)
         triggers.append(trig)
         regs.append(reg)
     # the shuffle stream is shared across clients so that identical shards

@@ -116,6 +116,9 @@ def run_sweep(m, seeds):
     if not m.embed:
         raise ConfigError(f"sweep.kind = {m.sweep_kind} needs embedding clients "
                           "(embed.<id> lines) in the manifest")
+    if m.fed.rounds < 1:
+        raise ConfigError(f"sweep.kind = {m.sweep_kind} reads each point's last round: "
+                          f"rounds must be >= 1, got {m.fed.rounds}")
     axis, metrics = _SWEEPS[m.sweep_kind]
     capacity = (capacity_bound(make_network(m, m.seed), "scale")
                 if m.sweep_kind == "reliability_bits" else None)

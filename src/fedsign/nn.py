@@ -363,23 +363,6 @@ class MaxPool2(Layer):
         return dx.reshape(shape), {}
 
 
-class SoftmaxLayer(Layer):
-    kind = "softmax"
-
-    def __init__(self):
-        self._cache = None
-
-    def forward(self, x, train, rows=None):
-        p = softmax(x)
-        self._cache = p
-        return p
-
-    def backward(self, dy):
-        self._need_cache()
-        p = self._cache
-        return p * (dy - (dy * p).sum(axis=-1, keepdims=True)), {}
-
-
 # ---------------------------------------------------------------------------
 # network
 
@@ -479,12 +462,6 @@ class Network:
 # ---------------------------------------------------------------------------
 # losses / metrics
 
-def softmax(logits):
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def _check_labels(labels, n_classes):
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         raise ShapeError(f"label out of range for {n_classes} classes")
@@ -574,7 +551,7 @@ def _mean_nll(logp, start, count):
 
 def sgd_epochs(net, inputs, labels, epochs, lr, momentum, batch, stream,
                lr_decay=1.0, triggers=None, reg=None, keep=()):
-    """Minibatch momentum SGD on  L = L_main + alpha * L_trigger + R  for
+    """Minibatch momentum SGD on  L = L_main + alpha * L_trigger + beta * R  for
     every client (parameter row) of `net` at once.
 
     Client c trains on inputs[c], labels[c].  Its epoch e visits the rows in
@@ -582,8 +559,10 @@ def sgd_epochs(net, inputs, labels, epochs, lr, momentum, batch, stream,
     multiplied by `lr_decay` after each of its epochs.  triggers[c] =
     (inputs, labels, alpha, count, rng) extends every batch of client c
     with `count` trigger rows drawn with replacement by `rng` (batch
-    poisoning).  reg[c] maps client c's live parameters to the (loss,
-    gradient) of an added regularizer.  Either list may be None.
+    poisoning).  reg[c] = (fn, key, beta) adds a regularizer:
+    ``fn(params, key, grad, beta)`` returns R at client c's live parameters
+    and adds beta * dR/dparams into grad, client c's row of the step's
+    gradient.  Either list may be None.
 
     Each step trains the clients that still have batches as one stacked
     batch, every client's rows padded to the widest.  Returns, per client,
@@ -656,7 +635,7 @@ def sgd_epochs(net, inputs, labels, epochs, lr, momentum, batch, stream,
 
     layout = net.params.layout
     params = ModelParams.wrap(layout, stack)
-    regs = [(i, reg[c], ModelParams.wrap(layout, stack[i]))
+    regs = [(i, ModelParams.wrap(layout, stack[i]), *reg[c])
             for i, c in enumerate(order) if reg[c] is not None]
     logp = np.zeros((total, n_clients, width))
     feat = np.zeros((total, n_clients))
@@ -678,10 +657,9 @@ def sgd_epochs(net, inputs, labels, epochs, lr, momentum, batch, stream,
         if padded[s] or poisoned:
             dlogits *= mul[s, :a, :r, None]
         grads = net.backward(dlogits)
-        for i, fn, row in regs:
+        for i, row, fn, key, beta in regs:
             if i < a:
-                feat[s, i], reg_grads = fn(row)
-                grads.vec[i] += reg_grads.vec
+                feat[s, i] = fn(row, key, grads.vec[i], beta)
         opt.step(params, grads, rates[s, :a])
         for j, i, c in due.get(s + 1, ()):
             kept[j][c] = stack[i]

@@ -6,8 +6,9 @@ reads values b = w^T E from a selected parameter pool w (normalization
 scales or a kernel weight tensor) through a secret extraction key E, and
 decodes bits as their signs.  The pool is a gather from the model's
 parameter vector through an index that the layout caches per selector, and
-a regularizer's gradient is that vector's zeros with the pool's entries
-added in.  Two embedding regularizers are supported:
+a regularizer adds beta times its gradient into a given gradient vector
+(in training, the client's row of the gradient matrix) at the pool's
+positions only.  Two embedding regularizers are supported:
 
 * hinge:  sum_j max(margin - t_j * b_j, 0)   (zero iff every bit holds
   with the given margin),
@@ -28,7 +29,7 @@ import numpy as np
 from . import io
 from .data import TriggerSet, forge_pattern_triggers, forge_pgd_triggers, trigger_error
 from .errors import CapacityError, FormatError, KeyMismatchError, ShapeError
-from .nn import ModelParams, rng_for
+from .nn import rng_for
 
 DEFAULT_MARGIN = 0.1
 DEFAULT_EPS_Y = 0.2
@@ -140,8 +141,7 @@ def flatten_selected(params, selector):
 # key generation
 
 def keygen(net, client_id, n_bits, n_triggers, mode, seed, dataset=None,
-           trigger_kind="pattern", vanilla=None, pgd_eps=0.3, pgd_lr=0.01,
-           pgd_iters=80, margin=DEFAULT_MARGIN, offset=None):
+           trigger_kind="pattern", vanilla=None, offset=None):
     """Generate one client's secret key: bits, extraction key, trigger set.
 
     Bits are i.i.d. uniform {-1,+1}.  In scale mode the coordinates are
@@ -181,13 +181,12 @@ def keygen(net, client_id, n_bits, n_triggers, mode, seed, dataset=None,
             if vanilla is None:
                 raise ShapeError("pgd triggers need a trained vanilla model")
             triggers = forge_pgd_triggers(vanilla, dataset, n_triggers, target,
-                                          eps=pgd_eps, lr=pgd_lr, iters=pgd_iters,
                                           seed=rng_seed_int(seed, client_id))
         else:
             raise ShapeError(f"unknown trigger kind {trigger_kind!r}")
     # keyfiles record an integer provenance seed even for composite seeds
     stored = int(seed) if isinstance(seed, (int, np.integer)) else rng_seed_int(seed, client_id)
-    return WatermarkKey(client_id, bits, extractor, triggers, margin, stored)
+    return WatermarkKey(client_id, bits, extractor, triggers, DEFAULT_MARGIN, stored)
 
 
 def rng_seed_int(seed, client_id):
@@ -214,37 +213,37 @@ def read_bits(values):
     return np.where(np.asarray(values) >= 0, 1, -1).astype(np.int8)
 
 
-def _bit_grad_to_params(params, extractor, dloss_db):
-    """d loss / d params from d loss / d b: zero outside the key's pool."""
+def _add_bit_grad(params, extractor, dloss_db, grad, beta):
+    """grad += beta * d loss / d params, from d loss / d b: only the key's
+    pool entries of `grad` move (the coords are distinct, as is the pool)."""
     pool = params.layout.index(extractor.selector)
-    grad = np.zeros(params.layout.size)
     if extractor.coords is not None:
-        np.add.at(grad, pool[extractor.coords], dloss_db)
+        grad[pool[extractor.coords]] += beta * dloss_db
     else:
-        np.add.at(grad, pool, extractor.matrix @ dloss_db)
-    return ModelParams.wrap(params.layout, grad)
+        grad[pool] += beta * (extractor.matrix @ dloss_db)
 
 
-def hinge_reg(params, key):
-    """Sign hinge loss sum_j max(margin - t_j b_j, 0) and its gradient."""
+def hinge_reg(params, key, grad, beta):
+    """Sign hinge loss sum_j max(margin - t_j b_j, 0); adds beta times its
+    gradient into `grad`, a vector in `params.layout`."""
     b = extract(params, key.extractor)
     t = key.bits.astype(np.float64)
     slack = key.margin - t * b
     active = slack > 0
-    loss = float(slack[active].sum())
-    dloss_db = np.where(active, -t, 0.0)
-    return loss, _bit_grad_to_params(params, key.extractor, dloss_db)
+    _add_bit_grad(params, key.extractor, np.where(active, -t, 0.0), grad, beta)
+    return float(slack[active].sum())
 
 
-def bce_reg(params, key):
-    """Binary cross-entropy between sigmoid(b_j) and bits mapped to {0,1}."""
+def bce_reg(params, key, grad, beta):
+    """Binary cross-entropy between sigmoid(b_j) and bits mapped to {0,1};
+    adds beta times its gradient into `grad`, a vector in `params.layout`."""
     b = extract(params, key.extractor)
     t01 = bits_to_binary(key.bits).astype(np.float64)
     # stable: bce_j = softplus(-b) for t=1, softplus(b) for t=0
     z = np.where(t01 > 0.5, -b, b)
-    loss = float((np.logaddexp(0.0, z)).sum())
     f = 1.0 / (1.0 + np.exp(-b))
-    return loss, _bit_grad_to_params(params, key.extractor, f - t01)
+    _add_bit_grad(params, key.extractor, f - t01, grad, beta)
+    return float((np.logaddexp(0.0, z)).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +289,9 @@ def _check_key(raw):
     """Reject a keyfile whose bits and extractor do not fit each other and
     the pool (FormatError), before anything indexes with them."""
     bits, pool, coords, matrix = raw["bits"], raw["pool_size"], raw["coords"], raw["matrix"]
+    if raw["mode"] != ("scale" if coords is not None else "kernel"):
+        raise FormatError(f"keyfile mode {raw['mode']!r} does not fit its "
+                          f"{'coordinate list' if coords is not None else 'matrix'}")
     if bits.ndim != 1 or not bits.size or (np.abs(bits) != 1).any():
         raise FormatError("keyfile bits must be a non-empty list of -1/+1")
     if coords is not None:

@@ -3,6 +3,16 @@ import numpy as np
 from fedsign.nn import cross_entropy
 
 # ---------------------------------------------------------------------------
+# reference softmax, for replays of the training loop and the cross-entropy
+# gradient check
+
+def softmax(logits):
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+# ---------------------------------------------------------------------------
 # independent false-positive oracle, used by the metrics unit tests and the
 # acceptance suite
 

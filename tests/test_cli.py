@@ -184,9 +184,12 @@ def test_verify_mismatched_pool_is_input_error(tmp_path, trained, capsys):
     assert code == EXIT_INPUT
 
 
-def _write_keyfile(path, bits, coords=None, matrix=None):
-    """A scale keyfile on the 4-channel pool of build_mlp(8, [4], 3)."""
-    io.save_keyfile(path, client_id=0, mode="scale", seed=0, bits=np.array(bits, np.int8),
+def _write_keyfile(path, bits, coords=None, matrix=None, mode=None):
+    """A keyfile on the 4-channel scale pool of build_mlp(8, [4], 3), its
+    mode the one its extractor fits unless given."""
+    if mode is None:
+        mode = "scale" if coords is not None else "kernel"
+    io.save_keyfile(path, client_id=0, mode=mode, seed=0, bits=np.array(bits, np.int8),
                     selector=((1, "scale"),), pool_size=4,
                     coords=None if coords is None else np.array(coords),
                     matrix=matrix)
@@ -201,6 +204,9 @@ MISFIT_KEYS = {
     "matrix-cols-not-bits": dict(bits=[1, -1], matrix=np.ones((4, 3))),
     "matrix-not-finite": dict(bits=[1, -1], matrix=np.full((4, 2), np.nan)),
     "bit-not-sign": dict(bits=[1, 0], coords=[0, 1]),
+    "mode-unknown": dict(bits=[1, -1], coords=[0, 1], mode="banana"),
+    "kernel-mode-coords": dict(bits=[1, -1], coords=[0, 1], mode="kernel"),
+    "scale-mode-matrix": dict(bits=[1, -1], matrix=np.ones((4, 2)), mode="scale"),
 }
 
 
@@ -212,6 +218,7 @@ def test_keyfile_extractor_misfit_is_input_error(tmp_path, capsys, fields):
     _write_keyfile(key, **fields)
     assert main(["verify", str(ckpt), str(key)]) == EXIT_INPUT
     assert main(["feasibility", str(key)]) == EXIT_INPUT
+    assert main(["info", str(key)]) == EXIT_INPUT
     assert "keyfile" in capsys.readouterr().err
 
 
@@ -369,6 +376,17 @@ def test_sweep_values_that_are_not_counts_exit_2(tmp_path, capsys, value):
     assert main(["sweep", str(manifest)]) == EXIT_INPUT
     assert "sweep.values" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_sweep_of_zero_rounds_exits_2_before_training(tmp_path, capsys):
+    """A sweep reads each point's last round; `train` still runs zero."""
+    manifest, out = write_manifest(
+        tmp_path, MINIMAL.replace("rounds = 5", "rounds = 0")
+        + "sweep.kind = reliability_bits\nsweep.values = 2,4\n")
+    assert main(["sweep", str(manifest)]) == EXIT_INPUT
+    assert "rounds" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["train", str(manifest)]) == EXIT_OK
 
 
 def test_sweep_without_kind_is_input_error(tmp_path, capsys):

@@ -17,8 +17,10 @@ from fedsign.federation import (
     sample_clients,
     setup_clients,
 )
-from fedsign.nn import ModelParams, SgdMomentum, build_mlp, cross_entropy, rng_for, softmax
+from fedsign.nn import ModelParams, SgdMomentum, build_mlp, cross_entropy, rng_for
 from fedsign.watermark import bce_reg, hinge_reg, keygen, verify_white
+
+from conftest import softmax
 
 
 def small_world(seed=0, n_clients=4, specs=None, **cfg_kw):
@@ -89,8 +91,7 @@ def test_poisoned_regularized_client_update_replays(loss):
             d_trig[np.arange(3), trig.target_labels[pick]] -= 1.0
             d_trig *= state.alpha / 3
             grads = replay.backward(np.concatenate([d_main, d_trig]))
-            feat, reg_grads = reg(replay.params, state.key)
-            grads.vec += state.beta * reg_grads.vec
+            feat = reg(replay.params, state.key, grads.vec, state.beta)
             opt.step(replay.params, grads, lr)
             seen["main"].append(main)
             seen["trigger"].append(trig_loss)
@@ -140,11 +141,11 @@ def test_isolated_hinge_embedding_reaches_zero_hamming():
     params = net.params
     opt = SgdMomentum(params, momentum=0.9)
     for _ in range(200):
-        loss, grads = hinge_reg(params, key)
-        if loss == 0.0:
+        grads = ModelParams.wrap(params.layout, np.zeros(params.layout.size))
+        if hinge_reg(params, key, grads.vec, 1.0) == 0.0:
             break
         opt.step(params, grads, lr=0.01)
-    assert hinge_reg(params, key)[0] == 0.0
+    assert hinge_reg(params, key, np.zeros(params.layout.size), 1.0) == 0.0
     assert verify_white(params, key).hamming == 0
 
 

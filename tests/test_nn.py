@@ -14,7 +14,6 @@ from fedsign.nn import (
     Relu,
     ScaleNorm,
     SgdMomentum,
-    SoftmaxLayer,
     accuracy,
     build_cnn,
     build_mlp,
@@ -23,10 +22,9 @@ from fedsign.nn import (
     network_from_descriptor,
     rng_for,
     sgd_epochs,
-    softmax,
 )
 
-from conftest import gradcheck
+from conftest import gradcheck, softmax
 
 
 def tiny_net(layers, input_shape, n_classes):
@@ -104,7 +102,6 @@ def layer_cases():
         ("dense", tiny_net([Dense(6, 4, rng)], (6,), 4), (6,)),
         ("relu", tiny_net([Dense(6, 5, rng), Relu(), Dense(5, 3, rng)], (6,), 3), (6,)),
         ("scale-norm", tiny_net([Dense(6, 5, rng), ScaleNorm(5), Dense(5, 3, rng)], (6,), 3), (6,)),
-        ("softmax", tiny_net([Dense(6, 5, rng), SoftmaxLayer(), Dense(5, 3, rng)], (6,), 3), (6,)),
         ("conv2d", tiny_net([Conv2d(2, 3, 3, rng), Dense(4 * 4 * 3, 3, rng)], (4, 4, 2), 3), (4, 4, 2)),
         ("maxpool", tiny_net([Conv2d(1, 3, 3, rng), MaxPool2(), Dense(2 * 2 * 3, 3, rng)], (4, 4, 1), 3), (4, 4, 1)),
         ("full-cnn", build_cnn(8, 1, [4, 6], 3, seed=9), (8, 8, 1)),
@@ -176,11 +173,6 @@ def test_cross_entropy_gradient_is_softmax_minus_onehot():
 def test_out_of_range_label_raises():
     with pytest.raises(ShapeError):
         cross_entropy(np.zeros((2, 3)), [0, 3])
-
-
-def test_softmax_rows_sum_to_one():
-    p = softmax(rng_for(7).normal(size=(50, 9), scale=30))
-    np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

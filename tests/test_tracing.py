@@ -32,3 +32,28 @@ def test_install_then_remove_restores_every_original():
         tracer.remove()
     assert all(w is not o for w, o in zip(wrapped, originals))
     assert [getattr(owner, attr) for owner, attr, _, _ in tracing.POINTS] == originals
+
+
+def test_regularizer_spans_are_recorded_in_a_client_update():
+    """`client_update` looks the regularizers up by the names the tracer
+    wraps, so each call on each step records a span."""
+    from fedsign.data import make_synthetic, split
+    from fedsign.federation import FedConfig, WatermarkSpec, client_update, setup_clients
+    from fedsign.nn import build_mlp
+
+    tracing = load_tracing()
+    ds = make_synthetic(3, 20, seed=1, kind="blobs")
+    net = build_mlp(32, [16, 16], 3, seed=1)
+    specs = {0: WatermarkSpec("scale", 8, loss="hinge", beta=1.0),
+             1: WatermarkSpec("kernel", 8, loss="bce", beta=1.0)}
+    clients = setup_clients(ds, split(ds, 2, seed=1), net, specs, seed=1)
+    cfg = FedConfig(n_clients=2, local_epochs=1, batch=8, seed=1)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        client_update(net, clients, net.get_params(), cfg)
+    finally:
+        tracer.remove()
+    calls = tracer.totals()
+    steps = [-(-c.n_samples // cfg.batch) for c in clients]  # one call per step
+    assert [calls["watermark.hinge"][0], calls["watermark.bce"][0]] == steps

@@ -28,6 +28,13 @@ def scale_params(values):
     return ModelParams({(0, "scale"): np.asarray(values, dtype=float)})
 
 
+def reg_grad(reg, params, key, beta=1.0):
+    """(loss, beta * dR/dparams) of a regularizer, added into zeros."""
+    grad = np.zeros(params.layout.size)
+    loss = reg(params, key, grad, beta)
+    return loss, ModelParams.wrap(params.layout, grad)
+
+
 def scale_extractor(n, matrix=None, coords=None):
     if matrix is None and coords is None:
         matrix = np.eye(n)
@@ -154,9 +161,9 @@ def test_binary_bit_mapping_roundtrip():
 def test_hinge_terms_by_hand():
     ek = scale_extractor(1, matrix=np.eye(1))
     key = FakeKey([1], ek, margin=0.5)
-    loss, _ = hinge_reg(scale_params([1.0]), key)
+    loss, _ = reg_grad(hinge_reg, scale_params([1.0]), key)
     assert loss == 0.0
-    loss, _ = hinge_reg(scale_params([-0.2]), key)
+    loss, _ = reg_grad(hinge_reg, scale_params([-0.2]), key)
     assert loss == pytest.approx(0.7)
 
 
@@ -165,23 +172,23 @@ def test_hinge_zero_iff_margins_met_and_verifies():
     bits = read_bits(rng.normal(size=6))
     key = FakeKey(bits, scale_extractor(6), margin=0.1)
     good = scale_params(0.2 * bits.astype(float))
-    loss, grads = hinge_reg(good, key)
+    loss, grads = reg_grad(hinge_reg, good, key)
     assert loss == 0.0
     assert not grads.entries[(0, "scale")].any()
     assert verify_white(good, key).hamming == 0
     # one bit dips under the margin -> positive loss
     w = 0.2 * bits.astype(float)
     w[3] = 0.05 * bits[3]
-    assert hinge_reg(scale_params(w), key)[0] > 0
+    assert reg_grad(hinge_reg, scale_params(w), key)[0] > 0
 
 
 def _fd_reg(reg, params, key, probe, idx, h=1e-6):
     arr = params.entries[probe]
     orig = arr.flat[idx]
     arr.flat[idx] = orig + h
-    up = reg(params, key)[0]
+    up = reg_grad(reg, params, key)[0]
     arr.flat[idx] = orig - h
-    dn = reg(params, key)[0]
+    dn = reg_grad(reg, params, key)[0]
     arr.flat[idx] = orig
     return (up - dn) / (2 * h)
 
@@ -198,7 +205,7 @@ def test_regularizer_gradients_match_finite_differences(reg):
             slack = key.margin - key.bits * extract(params, key.extractor)
             if np.abs(slack).min() < 1e-3:  # keep probes away from the kink
                 continue
-        _, grads = reg(params, key)
+        _, grads = reg_grad(reg, params, key)
         for idx in rng.choice(10, size=6, replace=False):
             fd = _fd_reg(reg, params, key, (0, "scale"), idx)
             a = grads.entries[(0, "scale")].flat[idx]
@@ -208,9 +215,9 @@ def test_regularizer_gradients_match_finite_differences(reg):
 def test_bce_values_by_hand():
     ek = scale_extractor(1, matrix=np.eye(1))
     for t in (-1, 1):
-        loss, _ = bce_reg(scale_params([0.0]), FakeKey([t], ek))
+        loss, _ = reg_grad(bce_reg, scale_params([0.0]), FakeKey([t], ek))
         assert loss == pytest.approx(math.log(2), rel=1e-12)
-    loss, _ = bce_reg(scale_params([40.0]), FakeKey([1], ek))
+    loss, _ = reg_grad(bce_reg, scale_params([40.0]), FakeKey([1], ek))
     assert loss < 1e-12
 
 
@@ -219,10 +226,45 @@ def test_gradients_vanish_on_satisfied_bits():
     e = np.eye(4)
     key = FakeKey([1, 1, -1, -1], scale_extractor(4, matrix=e), margin=0.1)
     params = scale_params([0.5, 0.05, -0.5, 0.02])
-    _, grads = hinge_reg(params, key)
+    _, grads = reg_grad(hinge_reg, params, key)
     g = grads.entries[(0, "scale")]
     assert g[0] == 0.0 and g[2] == 0.0  # satisfied
     assert g[1] == -1.0 and g[3] == 1.0  # active, pushes toward the sign
+
+
+@pytest.mark.parametrize("reg", [hinge_reg, bce_reg], ids=["hinge", "bce"])
+@pytest.mark.parametrize("mode", ["scale", "kernel"])
+def test_regularizer_adds_into_the_pool_entries_only(reg, mode):
+    """grad gains beta * E @ dloss_db on the key's pool; every other entry,
+    -0.0 included, keeps its bits."""
+    net = build_mlp(8, [16, 16], 3, seed=2)
+    key = keygen(net, 1, 8, 0, mode, seed=3)
+    params = net.params
+    rng = rng_for("reg-into-row", mode)
+    grad = rng.normal(size=params.layout.size)
+    grad[rng.choice(grad.size, size=grad.size // 4, replace=False)] = -0.0
+    before = grad.copy()
+    beta = 2.5
+    loss = reg(params, key, grad, beta)
+
+    b = extract(params, key.extractor)
+    t = key.bits.astype(float)
+    if reg is hinge_reg:
+        slack = key.margin - t * b
+        dloss_db = np.where(slack > 0, -t, 0.0)
+        assert loss == float(slack[slack > 0].sum())
+    else:
+        dloss_db = 1.0 / (1.0 + np.exp(-b)) - bits_to_binary(key.bits)
+    pool = params.layout.index(key.extractor.selector)
+    touched = pool if key.extractor.coords is None else pool[key.extractor.coords]
+    outside = np.ones(grad.size, dtype=bool)
+    outside[touched] = False
+    assert before[outside].tobytes() == grad[outside].tobytes()
+    step = beta * (key.extractor.dense() @ dloss_db)
+    assert step.any() and before[pool].any()
+    expect = before.copy()
+    expect[pool] += step  # added to the row's entries, not written over them
+    np.testing.assert_array_equal(grad, expect)
 
 
 # ---------------------------------------------------------------------------
@@ -339,3 +381,16 @@ def test_keyfile_trigger_ref_must_be_a_sibling_name(tmp_path, ref):
                     coords=key.extractor.coords, trigger_ref=ref)
     with pytest.raises(FormatError, match="trigger reference"):
         load_key(forged)
+
+
+@pytest.mark.parametrize("mode,extractor", [("banana", "coords"), ("kernel", "coords"),
+                                            ("scale", "matrix"), ("", "matrix")])
+def test_keyfile_mode_must_fit_its_extractor(tmp_path, mode, extractor):
+    net = build_mlp(32, [16, 16], 4, seed=3)
+    key = keygen(net, 2, 8, 0, "scale" if extractor == "coords" else "kernel", seed=4)
+    path = tmp_path / "forged.key"
+    io.save_keyfile(path, client_id=2, mode=mode, seed=4, bits=key.bits,
+                    selector=key.extractor.selector, pool_size=key.extractor.pool_size,
+                    coords=key.extractor.coords, matrix=key.extractor.matrix)
+    with pytest.raises(FormatError, match="mode"):
+        load_key(path)
