@@ -7,13 +7,13 @@ separate run of that many epochs: epoch e shuffles with its own stream, the
 rate decays once per epoch and momentum starts at zero, none of which
 depends on the run's length."""
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import ShapeError
-from .io import write_atomic
+from .io import write_csv
 from .nn import accuracy, rng_for, sgd_epochs
 from .watermark import verify_black, verify_white
 
@@ -108,10 +108,4 @@ def run_attack_suite(net, params, keys, eval_data, train_ds, prune_rates=(),
 
 
 def attack_reports_to_csv(reports, path):
-    lines = [",".join(CSV_COLUMNS)]
-    for r in reports:
-        cells = [r.attack, repr(r.param), repr(r.acc_before), repr(r.acc_after)]
-        for v in (r.eta_gamma, r.eta_kernel, r.trigger_err):
-            cells.append("" if v is None else repr(v))
-        lines.append(",".join(cells))
-    write_atomic(path, "\n".join(lines) + "\n")
+    write_csv(path, CSV_COLUMNS, map(astuple, reports))

@@ -12,6 +12,7 @@ import sys
 
 from . import io
 from .attacks import attack_reports_to_csv, run_attack_suite
+from .data import TriggerSet
 from .errors import FedsignError
 from .feasibility import decide, stack
 from .federation import round_logs_to_csv
@@ -85,14 +86,11 @@ def cmd_feasibility(args):
     print(f"{se.n_keys} key(s), {se.n_cols} total bits, pool size {se.u.shape[0]}")
     print(report.summary())
     if args.csv:
-        row = [int(report.cond_rank), int(report.cond_positive_row),
-               int(report.cond_gram_positive), report.status,
-               "" if report.margin is None else repr(report.margin),
-               "" if report.nnls_residual is None else repr(report.nnls_residual),
-               se.n_keys, se.n_cols]
-        io.write_atomic(args.csv, "cond_rank,cond_positive_row,cond_gram_positive,status,"
-                        "margin,nnls_residual,n_keys,total_bits\n"
-                        + ",".join(map(str, row)) + "\n")
+        io.write_csv(args.csv, ("cond_rank", "cond_positive_row", "cond_gram_positive",
+                                "status", "margin", "nnls_residual", "n_keys", "total_bits"),
+                     [(int(report.cond_rank), int(report.cond_positive_row),
+                       int(report.cond_gram_positive), report.status, report.margin,
+                       report.nnls_residual, se.n_keys, se.n_cols)])
     return EXIT_VERIFY_FAILED if report.status == "infeasible" else EXIT_OK
 
 
@@ -166,9 +164,9 @@ def cmd_info(args):
         print(f"keyfile: client={key.client_id} bits={key.n_bits} extractor={kind} "
               f"pool={key.extractor.pool_size} triggers={trig} margin={key.margin}")
     elif tag == io.TAG_TRIGGERS:
-        samples, targets, classes, meta = io.load_triggers(args.path)
-        print(f"triggers: samples={len(targets)} shape={samples.shape[1:]} "
-              f"provenance={meta.get('provenance')} eps={meta.get('eps')}")
+        t = TriggerSet.load(args.path)
+        print(f"triggers: samples={t.size} shape={t.samples.shape[1:]} "
+              f"provenance={t.provenance} eps={t.eps!r}")
     else:
         raise FedsignError(f"unknown artifact tag {tag!r}")
     return EXIT_OK

@@ -71,12 +71,22 @@ class TriggerSet:
 
     @classmethod
     def load(cls, path):
+        """A trigger set from its artifact; one that is malformed raises
+        FormatError, before anything runs a network on it."""
         samples, targets, class_count, meta = io.load_triggers(path)
+        if samples.ndim < 2 or not len(samples) or targets.shape != samples.shape[:1]:
+            raise FormatError(f"trigger set needs n >= 1 samples of shape (n, ...) and n "
+                              f"labels, got {samples.shape} and {targets.shape}")
+        if not np.isfinite(samples).all():
+            raise FormatError("trigger samples must be finite")
+        provenance = meta.get("provenance", "pattern")
+        if provenance not in ("pattern", "pgd"):
+            raise FormatError(f"unknown trigger provenance {provenance!r}")
         try:
             eps = float(meta.get("eps", "0.0"))
         except ValueError:
             raise FormatError(f"trigger set eps {meta['eps']!r} is not a number") from None
-        return cls(samples, targets, meta.get("provenance", "pattern"), eps, class_count)
+        return cls(samples, targets, provenance, eps, class_count)
 
 
 # ---------------------------------------------------------------------------

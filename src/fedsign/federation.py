@@ -22,7 +22,7 @@ import numpy as np
 
 from .data import Dataset, Shard
 from .errors import ConfigError, StateError
-from .io import write_atomic
+from .io import write_csv
 from .nn import TRAINABLE_ROLES, ModelParams, accuracy, rng_for, sgd_epochs
 from .watermark import WatermarkKey, bce_reg, hinge_reg, keygen, verify_black, verify_white
 
@@ -274,20 +274,12 @@ def round_log_columns(n_clients):
     return cols
 
 
-def _cell(value):
-    return "" if value is None else repr(value)
-
-
 def round_logs_to_csv(logs, path, n_clients):
     """Fixed column order: round, selected (ids joined by ';'), accuracy,
     then (main, trigger, feature, eta, trigerr) per client id."""
-    lines = [",".join(round_log_columns(n_clients))]
-    for log in logs:
-        row = [str(log.round_index), ";".join(str(c) for c in log.selected),
-               _cell(log.accuracy)]
-        for k in range(n_clients):
-            row += [_cell(log.loss_main.get(k)), _cell(log.loss_trigger.get(k)),
-                    _cell(log.loss_feature.get(k)), _cell(log.eta.get(k)),
-                    _cell(log.trigger_error.get(k))]
-        lines.append(",".join(row))
-    write_atomic(path, "\n".join(lines) + "\n")
+    write_csv(path, round_log_columns(n_clients), (
+        [log.round_index, ";".join(str(c) for c in log.selected), log.accuracy]
+        + [d.get(k) for k in range(n_clients)
+           for d in (log.loss_main, log.loss_trigger, log.loss_feature, log.eta,
+                     log.trigger_error)]
+        for log in logs))

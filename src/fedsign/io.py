@@ -1,4 +1,5 @@
-"""Binary artifact containers: checkpoints, key files, trigger sets.
+"""Binary artifact containers (checkpoints, key files, trigger sets) and
+the one CSV writer.
 
 All artifacts share one envelope: an 8-byte magic, a 4-byte artifact tag
 and a little-endian u32 format version, followed by tag-specific fields.
@@ -47,6 +48,15 @@ def write_atomic(path, data, secret=False):
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def write_csv(path, header, rows):
+    """Write a LF-terminated CSV table through `write_atomic`.  A cell is
+    empty for None, `repr(float(v))` for a float (np.float64 too) and
+    `str(v)` otherwise; pass booleans as int."""
+    def cell(v):
+        return "" if v is None else repr(float(v)) if isinstance(v, float) else str(v)
+    write_atomic(path, "".join(",".join(map(cell, row)) + "\n" for row in [header, *rows]))
 
 
 # ---------------------------------------------------------------------------

@@ -48,14 +48,15 @@ _LISTS = ("hidden", "channels", "attack.prune", "attack.finetune_epochs", "sweep
 _FED_KEYS = ("clients", "fraction", "rounds", "local_epochs", "batch", "backdoor_batch",
              "lr", "momentum", "lr_decay", "dp_sigma", "seed")  # "seed" also sets RunManifest.seed
 
+# embed.<id> field -> (WatermarkSpec attribute, type); the defaults live in WatermarkSpec
 _EMBED_FIELDS = {
-    "mode": str,
-    "bits": int,
-    "triggers": int,
-    "loss": str,
-    "alpha": float,
-    "beta": float,
-    "trigger_kind": str,
+    "mode": ("mode", str),
+    "bits": ("n_bits", int),
+    "triggers": ("n_triggers", int),
+    "loss": ("loss", str),
+    "alpha": ("alpha", float),
+    "beta": ("beta", float),
+    "trigger_kind": ("trigger_kind", str),
 }
 
 SWEEP_KINDS = ("fidelity_bits", "fidelity_triggers", "reliability_bits",
@@ -117,16 +118,9 @@ def _parse_embed(key, raw):
         name, value = token.split("=", 1)
         if name not in _EMBED_FIELDS:
             raise ConfigError(f"manifest key {key!r}: unknown field {name!r}")
-        spec[name] = _parse_value(key, value, _EMBED_FIELDS[name])
-    ws = WatermarkSpec(
-        mode=spec.get("mode", "scale"),
-        n_bits=spec.get("bits", 8),
-        n_triggers=spec.get("triggers", 0),
-        loss=spec.get("loss", "hinge"),
-        alpha=spec.get("alpha", 0.0),
-        beta=spec.get("beta", 0.0),
-        trigger_kind=spec.get("trigger_kind", "pattern"),
-    )
+        attr, kind = _EMBED_FIELDS[name]
+        spec[attr] = _parse_value(key, value, kind)
+    ws = WatermarkSpec(**spec)
     for name, value, allowed in (("mode", ws.mode, ("scale", "kernel")),
                                  ("loss", ws.loss, ("hinge", "bce")),
                                  ("trigger_kind", ws.trigger_kind, ("pattern", "pgd"))):

@@ -11,7 +11,6 @@ import csv
 import math
 import os
 from dataclasses import dataclass, replace
-from io import StringIO
 from typing import Optional
 
 import numpy as np
@@ -19,7 +18,7 @@ import numpy as np
 from .errors import ConfigError
 from .feasibility import capacity_bound
 from .federation import WatermarkSpec
-from .io import write_atomic
+from .io import write_csv
 from .nn import rng_for
 from .runner import make_network, run_once
 
@@ -41,16 +40,10 @@ def derive_seeds(master, count):
 # ---------------------------------------------------------------------------
 # csv plumbing
 
-def _write_csv(path, header, rows):
-    f = StringIO()
-    csv.writer(f).writerows([header, *rows])
-    write_atomic(path, f.getvalue())
-
-
 def write_raw_csv(rows, path):
     """Rows of (axis value, seed, metric value)."""
-    _write_csv(path, ["axis", "seed", "metric"],
-               ([repr(float(value)), seed, repr(float(metric))] for value, seed, metric in rows))
+    write_csv(path, ["axis", "seed", "metric"],
+              ((float(value), seed, float(metric)) for value, seed, metric in rows))
 
 
 def summarize_csv(path):
@@ -61,11 +54,6 @@ def summarize_csv(path):
         for row in csv.DictReader(f):
             groups.setdefault(float(row["axis"]), []).append(float(row["metric"]))
     return [(v, float(np.mean(g)), float(np.std(g))) for v, g in sorted(groups.items())]
-
-
-def write_summary_csv(points, path):
-    _write_csv(path, ["axis", "mean", "std"],
-               ([repr(float(value)), repr(mean), repr(std)] for value, mean, std in points))
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +127,7 @@ def run_sweep(m, seeds):
         raw_path = os.path.join(m.out_dir, f"{name}_raw.csv")
         write_raw_csv(metric_rows, raw_path)
         points = summarize_csv(raw_path)
-        write_summary_csv(points, os.path.join(m.out_dir, f"{name}_summary.csv"))
+        write_csv(os.path.join(m.out_dir, f"{name}_summary.csv"), ["axis", "mean", "std"], points)
         summaries.append(ExperimentSummary(axis, metric, points, len(seeds), capacity))
     return summaries
 

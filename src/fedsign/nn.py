@@ -701,14 +701,14 @@ def build_mlp(n_in, hidden, n_classes, seed):
     return Network(layers, (n_in,), n_classes, desc)
 
 
-def build_cnn(hw, c_in, channels, n_classes, seed, ksize=3):
+def build_cnn(hw, c_in, channels, n_classes, seed):
     """conv -> scale-norm -> relu -> maxpool blocks, then a dense head."""
     rng = rng_for(seed, "init", "cnn")
     layers = []
     prev = c_in
     side = hw
     for ch in channels:
-        layers.append(Conv2d(prev, ch, ksize, rng))
+        layers.append(Conv2d(prev, ch, 3, rng))
         layers.append(ScaleNorm(ch))
         layers.append(Relu())
         layers.append(MaxPool2())

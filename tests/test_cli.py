@@ -184,6 +184,34 @@ def test_verify_mismatched_pool_is_input_error(tmp_path, trained, capsys):
     assert code == EXIT_INPUT
 
 
+BAD_TRIGGERS = {
+    "labels-fewer-than-samples": (np.ones((10, 32)), np.zeros(3), "pattern"),
+    "0-d-samples": (np.float64(1.0), np.zeros(1), "pattern"),
+    "2-d-labels": (np.ones((10, 32)), np.zeros((2, 5)), "pattern"),
+    "empty": (np.ones((0, 32)), np.zeros(0), "pattern"),
+    "nan-samples": (np.full((10, 32), np.nan), np.zeros(10), "pattern"),
+    "unknown-provenance": (np.ones((10, 32)), np.zeros(10), "banana"),
+}
+
+
+@pytest.mark.parametrize("samples, labels, provenance", BAD_TRIGGERS.values(),
+                         ids=list(BAD_TRIGGERS))
+def test_malformed_trigger_set_is_input_error(trained, capsys, samples, labels, provenance):
+    """An all-NaN set has NaN logits, whose argmax is class 0, so it would
+    pass for any client whose target is 0: loading rejects it."""
+    _, out = trained
+    key = fedsign.watermark.load_key(out / "client_0.key")
+    io.save_triggers(out / "bad.triggers", samples, labels, 3,
+                     {"provenance": provenance, "eps": "0.0"})
+    io.save_keyfile(out / "bad.key", client_id=0, mode="scale", seed=key.seed, bits=key.bits,
+                    selector=key.extractor.selector, pool_size=key.extractor.pool_size,
+                    coords=key.extractor.coords, trigger_ref="bad.triggers")
+    code = main(["verify", str(out / "checkpoint.bin"), str(out / "bad.key"), "--mode", "black"])
+    assert code == EXIT_INPUT
+    assert main(["info", str(out / "bad.triggers")]) == EXIT_INPUT
+    assert "trigger" in capsys.readouterr().err
+
+
 def _write_keyfile(path, bits, coords=None, matrix=None, mode=None):
     """A keyfile on the 4-channel scale pool of build_mlp(8, [4], 3), its
     mode the one its extractor fits unless given."""

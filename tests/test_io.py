@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsign import io
-from fedsign.data import make_synthetic
+from fedsign.data import TriggerSet, make_synthetic
 from fedsign.errors import FormatError
 from fedsign.nn import build_cnn, build_mlp, rng_for
 from fedsign.watermark import keygen, save_key
@@ -156,6 +156,15 @@ def test_write_atomic_replaces_whole_file(tmp_path):
     assert os.listdir(tmp_path) == ["rows.csv"]
 
 
+def test_write_csv_cells_and_line_endings(tmp_path):
+    """None is empty, a float (np.float64 too) its repr, anything else its
+    str; every line ends in LF."""
+    path = tmp_path / "t.csv"
+    io.write_csv(path, ("a", "b", "c", "d", "e"),
+                 [(None, 0.1, np.float64(1e-17), 7, "x;y"), (1.0, None, np.float64(2), 0, "")])
+    assert path.read_bytes() == b"a,b,c,d,e\n,0.1,1e-17,7,x;y\n1.0,,2.0,0,\n"
+
+
 # ---------------------------------------------------------------------------
 # hostile input: a value or a FormatError, nothing else
 
@@ -197,7 +206,7 @@ def _valid_artifacts():
 
 
 VALID = _valid_artifacts()
-LOADERS = (io.load_checkpoint, io.load_keyfile, io.load_triggers)
+LOADERS = (io.load_checkpoint, io.load_keyfile, io.load_triggers, TriggerSet.load)
 
 
 @st.composite

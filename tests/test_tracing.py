@@ -57,3 +57,46 @@ def test_regularizer_spans_are_recorded_in_a_client_update():
     calls = tracer.totals()
     steps = [-(-c.n_samples // cfg.batch) for c in clients]  # one call per step
     assert [calls["watermark.hinge"][0], calls["watermark.bce"][0]] == steps
+
+
+SESSION = """
+arch = cnn
+data_kind = images
+channels = 4
+classes = 2
+per_class = 12
+test_per_class = 12
+clients = 2
+rounds = 1
+local_epochs = 1
+dp_sigma = 0.01
+seed = 3
+out_dir = {out}
+embed.0 = mode=scale bits=4 loss=hinge beta=1.0 triggers=2 alpha=1.0 trigger_kind=pgd
+embed.1 = mode=kernel bits=4 loss=bce beta=1.0 triggers=2 alpha=1.0
+attack.prune = 0.5
+attack.finetune_epochs = 1
+"""
+
+
+def test_every_trace_point_records_a_span(tmp_path):
+    """A tiny session that reaches every traced name: a refactor that calls
+    around one would otherwise zero its per-layer metric unnoticed."""
+    from fedsign.cli import main
+
+    tracing = load_tracing()
+    manifest, out = tmp_path / "run.manifest", tmp_path / "out"
+    manifest.write_text(SESSION.format(out=out))
+    keys = [str(out / f"client_{cid}.key") for cid in (0, 1)]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert main(["train", str(manifest)]) == 0
+        assert main(["attack", str(manifest)]) == 0
+        for key in keys:
+            assert main(["verify", str(out / "checkpoint.bin"), key, "--mode", "both"]) in (0, 1)
+        assert main(["feasibility", keys[1]]) in (0, 1)
+    finally:
+        tracer.remove()
+    missing = {name for _, _, name, _ in tracing.POINTS} - set(tracer.names)
+    assert not missing, f"trace points that recorded no span: {sorted(missing)}"
