@@ -9,6 +9,6 @@ from .federation import ClientState, FedConfig, RoundLog, WatermarkSpec, add_dp_
 from .manifest import RunManifest, load_manifest, parse_manifest
 from .metrics import ExperimentSummary, false_positive_analysis, run_sweep
 from .nn import ModelParams, Network, accuracy, build_cnn, build_mlp, cross_entropy, fit, network_from_descriptor, sgd_epochs
-from .watermark import ExtractionKey, VerificationResult, WatermarkKey, bce_reg, extract, hinge_reg, keygen, load_key, read_bits, save_key, verify_black, verify_white
+from .watermark import VerificationResult, WatermarkKey, bce_reg, extract, hinge_reg, keygen, load_key, read_bits, save_key, verify_black, verify_white
 
 __version__ = "0.1.0"

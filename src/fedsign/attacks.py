@@ -33,26 +33,24 @@ CSV_COLUMNS = ("attack", "param", "acc_before", "acc_after",
                "eta_gamma", "eta_kernel", "trigger_err")
 
 
-def prune(params, rate, seed, roles=("kernel",)):
-    """Zero a uniformly random fraction of weight entries.
+def prune(params, rate, seed):
+    """Zero a uniformly random fraction of kernel weight entries.
 
     Exactly round(rate * pool) entries are zeroed, sampled without
-    replacement across the selected roles.  Kernel weights only by
-    default: biases and normalization parameters are not what weight
-    pruning tools remove, and zeroing scales would destroy the
-    normalization semantics rather than sparsify the model.
+    replacement.  Kernel weights only: biases and normalization parameters
+    are not what weight pruning tools remove, and zeroing scales would
+    destroy the normalization semantics rather than sparsify the model.
     """
     if not 0.0 <= rate <= 1.0:
         raise ShapeError("pruning rate must be in [0, 1]")
     out = params.clone()
-    idx = out.layout.role_index(roles)
+    idx = out.layout.role_index(("kernel",))
     picks = rng_for(seed, "prune").choice(idx.size, size=round(rate * idx.size), replace=False)
     out.vec[idx[picks]] = 0.0
     return out
 
 
-def finetune(net, params, ds, budgets, lr=1e-4, momentum=0.9, batch=16,
-             lr_decay=0.99, seed=0):
+def finetune(net, params, ds, budgets, lr=1e-4, seed=0):
     """Main-task-only SGD from the attacked parameters (no watermark terms).
 
     The learning rate decays by 1% per epoch.  Returns the parameters after
@@ -62,7 +60,8 @@ def finetune(net, params, ds, budgets, lr=1e-4, momentum=0.9, batch=16,
     """
     net.set_params(params)
     _, kept = sgd_epochs(net, [ds.inputs], [ds.labels], max(budgets, default=0), lr,
-                         momentum, batch, (seed, "finetune"), lr_decay, keep=budgets)
+                         momentum=0.9, batch=16, stream=(seed, "finetune"), lr_decay=0.99,
+                         keep=budgets)
     return kept
 
 
@@ -77,7 +76,7 @@ def evaluate_attack(net, params, keys, eval_data, trigger_keys=None):
     gamma, kernel, trig = [], [], []
     for key in keys:
         eta = verify_white(params, key).detection_rate
-        (gamma if key.extractor.coords is not None else kernel).append(eta)
+        (gamma if key.mode == "scale" else kernel).append(eta)
     for key in (keys if trigger_keys is None else trigger_keys):
         if key.triggers is not None:
             trig.append(verify_black(net, key.triggers).trigger_error)

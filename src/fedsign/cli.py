@@ -20,7 +20,7 @@ from .manifest import load_manifest
 from .metrics import derive_seeds, run_sweep
 from .nn import ModelParams, network_from_descriptor
 from .runner import make_data, run_once
-from .watermark import load_key, save_key, verify_black, verify_white
+from .watermark import DEFAULT_EPS_Y, load_key, save_key, verify_black, verify_white
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -159,10 +159,10 @@ def cmd_info(args):
               f"tensors={len(entries)} parameters={count}")
     elif tag == io.TAG_KEYFILE:
         key = load_key(args.path)
-        kind = "coords" if key.extractor.coords is not None else "dense"
+        kind = "coords" if key.mode == "scale" else "dense"
         trig = key.triggers.size if key.triggers is not None else 0
         print(f"keyfile: client={key.client_id} bits={key.n_bits} extractor={kind} "
-              f"pool={key.extractor.pool_size} triggers={trig} margin={key.margin}")
+              f"pool={key.pool_size} triggers={trig} margin={key.margin}")
     elif tag == io.TAG_TRIGGERS:
         t = TriggerSet.load(args.path)
         print(f"triggers: samples={t.size} shape={t.samples.shape[1:]} "
@@ -201,7 +201,7 @@ def build_parser():
     v.add_argument("--mode", choices=("white", "black", "both"), default="white")
     v.add_argument("--eps-h", type=_in_range(int, 0, math.inf, "[0, inf)"), default=None,
                    help="max Hamming distance, >= 0 (default: 5%% of the bit length)")
-    v.add_argument("--eps-y", type=_in_range(float, 0.0, 1.0, "[0, 1]"), default=0.2,
+    v.add_argument("--eps-y", type=_in_range(float, 0.0, 1.0, "[0, 1]"), default=DEFAULT_EPS_Y,
                    help="max trigger error rate, in [0, 1]")
     v.set_defaults(func=cmd_verify)
 

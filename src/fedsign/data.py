@@ -48,18 +48,28 @@ class Shard:
 
 @dataclass
 class TriggerSet:
+    """A client's black-box key: n samples of shape (n, ...), each with a
+    target label in [0, class_count).  A set that breaks this raises
+    ShapeError on construction, before anything runs a network on it."""
+
     samples: np.ndarray
     target_labels: np.ndarray
     provenance: str  # "pattern" | "pgd"
+    class_count: int
     eps: float = 0.0
-    class_count: int = 0
 
     def __post_init__(self):
         self.target_labels = np.asarray(self.target_labels, dtype=np.int64)
-        if len(self.samples) < 1:
-            raise ShapeError("trigger set must contain at least one sample")
+        samples, labels = self.samples, self.target_labels
+        if samples.ndim < 2 or not len(samples) or labels.shape != samples.shape[:1]:
+            raise ShapeError(f"need n >= 1 samples of shape (n, ...) and n labels, "
+                             f"got {samples.shape} and {labels.shape}")
+        if not np.isfinite(samples).all():
+            raise ShapeError("trigger samples must be finite")
         if self.provenance not in ("pattern", "pgd"):
             raise ShapeError(f"unknown trigger provenance {self.provenance!r}")
+        if labels.min() < 0 or labels.max() >= self.class_count:
+            raise ShapeError(f"trigger labels must lie in [0, {self.class_count})")
 
     @property
     def size(self):
@@ -74,19 +84,14 @@ class TriggerSet:
         """A trigger set from its artifact; one that is malformed raises
         FormatError, before anything runs a network on it."""
         samples, targets, class_count, meta = io.load_triggers(path)
-        if samples.ndim < 2 or not len(samples) or targets.shape != samples.shape[:1]:
-            raise FormatError(f"trigger set needs n >= 1 samples of shape (n, ...) and n "
-                              f"labels, got {samples.shape} and {targets.shape}")
-        if not np.isfinite(samples).all():
-            raise FormatError("trigger samples must be finite")
-        provenance = meta.get("provenance", "pattern")
-        if provenance not in ("pattern", "pgd"):
-            raise FormatError(f"unknown trigger provenance {provenance!r}")
         try:
             eps = float(meta.get("eps", "0.0"))
         except ValueError:
             raise FormatError(f"trigger set eps {meta['eps']!r} is not a number") from None
-        return cls(samples, targets, provenance, eps, class_count)
+        try:
+            return cls(samples, targets, meta.get("provenance", "pattern"), class_count, eps)
+        except ShapeError as exc:
+            raise FormatError(f"trigger set: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +179,6 @@ def split(ds, n_clients, mode="iid", seed=0, concentration=0.5):
 def forge_pattern_triggers(ds, count, target, seed):
     """Out-of-distribution triggers: a fixed seeded stamp overwrites part of
     each base sample; every sample is labeled `target`."""
-    if not 0 <= target < ds.class_count:
-        raise ShapeError(f"target class {target} out of range")
     rng = rng_for(seed, "pattern-triggers", target)
     base = ds.inputs[rng.choice(ds.n, size=count, replace=count > ds.n)].copy()
     if base.ndim == 2:  # vectors: overwrite half the coordinates, far out of
@@ -215,8 +218,6 @@ def pgd_attack(net, x0, targets, eps, lr, iters):
 def forge_pgd_triggers(vanilla, ds, count, target, eps=0.3, lr=0.01, iters=80, seed=0):
     """Adversarial triggers: PGD pushes held-out non-target samples toward
     the target class of a trained vanilla model."""
-    if not 0 <= target < ds.class_count:
-        raise ShapeError(f"target class {target} out of range")
     rng = rng_for(seed, "pgd-triggers", target)
     pool = np.flatnonzero(ds.labels != target)
     base = ds.inputs[rng.choice(pool, size=count, replace=count > pool.size)]

@@ -79,12 +79,12 @@ def stack(keys):
     keys = sorted(keys, key=lambda k: k.client_id)
     if not keys:
         raise KeyMismatchError("no keys to stack")
-    selector = keys[0].extractor.selector
-    pool = keys[0].extractor.pool_size
+    selector = keys[0].selector
+    pool = keys[0].pool_size
     for key in keys[1:]:
-        if key.extractor.selector != selector or key.extractor.pool_size != pool:
+        if key.selector != selector or key.pool_size != pool:
             raise KeyMismatchError("keys use different parameter selectors")
-    cols = [key.extractor.dense() for key in keys]
+    cols = [key.dense() for key in keys]
     u = np.concatenate(cols, axis=1)
     signs = np.concatenate([key.bits.astype(np.float64) for key in keys])
     return StackedExtractors(u, u * signs, len(keys))

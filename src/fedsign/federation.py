@@ -69,15 +69,23 @@ class FedConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.fraction <= 1.0:
-            raise ConfigError("fraction must be in (0, 1]")
-        if self.n_clients < 1 or math.ceil(self.fraction * self.n_clients) < 1:
-            raise ConfigError("need at least one client per round")
-        for name in ("lr", "momentum", "lr_decay", "dp_sigma"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite")
-        if self.dp_sigma < 0:
-            raise ConfigError("dp_sigma must be >= 0")
+        """Range-check every field; a violation names its manifest key."""
+        finite = math.isfinite
+        for key, value, ok, rule in (
+                ("clients", self.n_clients, self.n_clients >= 1, ">= 1"),
+                ("fraction", self.fraction, 0.0 < self.fraction <= 1.0, "in (0, 1]"),
+                ("rounds", self.rounds, self.rounds >= 0, ">= 0"),
+                ("local_epochs", self.local_epochs, self.local_epochs >= 0, ">= 0"),
+                ("batch", self.batch, self.batch >= 1, ">= 1"),
+                ("backdoor_batch", self.backdoor_batch, self.backdoor_batch >= 0, ">= 0"),
+                ("lr", self.lr, finite(self.lr) and self.lr > 0, "finite and > 0"),
+                ("momentum", self.momentum, 0.0 <= self.momentum < 1.0, "in [0, 1)"),
+                ("lr_decay", self.lr_decay, finite(self.lr_decay) and self.lr_decay > 0,
+                 "finite and > 0"),
+                ("dp_sigma", self.dp_sigma, finite(self.dp_sigma) and self.dp_sigma >= 0,
+                 "finite and >= 0")):
+            if not ok:
+                raise ConfigError(f"{key} must be {rule}, got {value!r}")
 
 
 @dataclass
@@ -167,8 +175,6 @@ def add_dp_noise(update, sigma, seed):
 
 def sample_clients(n_clients, fraction, round_index, seed):
     """Uniform sample without replacement of ceil(fraction * K) clients."""
-    if not 0.0 < fraction <= 1.0:
-        raise ConfigError("fraction must be in (0, 1]")
     m = math.ceil(fraction * n_clients)
     rng = rng_for(seed, "sample", round_index)
     return tuple(sorted(rng.choice(n_clients, size=m, replace=False).tolist()))

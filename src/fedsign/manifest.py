@@ -13,55 +13,73 @@ from dataclasses import dataclass, field, replace
 from .errors import ConfigError
 from .federation import FedConfig, WatermarkSpec
 
-_SCALARS = {
-    "arch": str,
-    "hidden": int,
-    "channels": int,
-    "classes": int,
-    "per_class": int,
-    "test_per_class": int,
-    "data_kind": str,
-    "data_dim": int,
-    "split": str,
-    "concentration": float,
-    "clients": int,
-    "fraction": float,
-    "rounds": int,
-    "local_epochs": int,
-    "batch": int,
-    "backdoor_batch": int,
-    "lr": float,
-    "momentum": float,
-    "lr_decay": float,
-    "dp_sigma": float,
-    "seed": int,
-    "out_dir": str,
-    "attack.prune": float,
-    "attack.finetune_epochs": int,
-    "attack.finetune_lr": float,
-    "attack.seed": int,
-    "sweep.kind": str,
-    "sweep.values": float,
-    "sweep.seeds": int,
-}
-_LISTS = ("hidden", "channels", "attack.prune", "attack.finetune_epochs", "sweep.values")
-_FED_KEYS = ("clients", "fraction", "rounds", "local_epochs", "batch", "backdoor_batch",
-             "lr", "momentum", "lr_decay", "dp_sigma", "seed")  # "seed" also sets RunManifest.seed
-
-# embed.<id> field -> (WatermarkSpec attribute, type); the defaults live in WatermarkSpec
-_EMBED_FIELDS = {
-    "mode": ("mode", str),
-    "bits": ("n_bits", int),
-    "triggers": ("n_triggers", int),
-    "loss": ("loss", str),
-    "alpha": ("alpha", float),
-    "beta": ("beta", float),
-    "trigger_kind": ("trigger_kind", str),
-}
-
 SWEEP_KINDS = ("fidelity_bits", "fidelity_triggers", "reliability_bits",
                "reliability_triggers", "dp_sigma", "fraction")
 COUNT_SWEEPS = SWEEP_KINDS[:4]  # their values are bit or trigger counts
+
+
+# A rule is (test, text): a value that fails `test` is rejected as "<key>
+# must be <text>".  nan fails every numeric rule.
+def _at_least(low):
+    return (lambda v: v >= low), f">= {low}"
+
+
+def _one_of(*allowed):
+    return (lambda v: v in allowed), f"one of {allowed}"
+
+
+_POSITIVE = (lambda v: math.isfinite(v) and v > 0), "finite and > 0"
+_NON_NEGATIVE = (lambda v: math.isfinite(v) and v >= 0), "finite and >= 0"
+_UNIT = (lambda v: 0.0 <= v <= 1.0), "in [0, 1]"
+
+# manifest key -> (type, is a list, rule for the value or each list entry);
+# None: no rule here (FedConfig checks the training keys, make_synthetic the
+# sample counts, and _validate the sweep values by sweep.kind)
+_KEYS = {
+    "arch": (str, False, _one_of("mlp", "cnn")),
+    "hidden": (int, True, _at_least(1)),
+    "channels": (int, True, _at_least(1)),
+    "classes": (int, False, _at_least(2)),
+    "per_class": (int, False, None),
+    "test_per_class": (int, False, None),
+    "data_kind": (str, False, _one_of("blobs", "images")),
+    "data_dim": (int, False, _at_least(1)),
+    "split": (str, False, _one_of("iid", "noniid")),
+    "concentration": (float, False, _POSITIVE),
+    "clients": (int, False, None),
+    "fraction": (float, False, None),
+    "rounds": (int, False, None),
+    "local_epochs": (int, False, None),
+    "batch": (int, False, None),
+    "backdoor_batch": (int, False, None),
+    "lr": (float, False, None),
+    "momentum": (float, False, None),
+    "lr_decay": (float, False, None),
+    "dp_sigma": (float, False, None),
+    "seed": (int, False, None),
+    "out_dir": (str, False, None),
+    "attack.prune": (float, True, _UNIT),
+    "attack.finetune_epochs": (int, True, _at_least(0)),
+    "attack.finetune_lr": (float, False, _POSITIVE),
+    "attack.seed": (int, False, None),
+    "sweep.kind": (str, False, _one_of(*SWEEP_KINDS)),
+    "sweep.values": (float, True, None),
+    "sweep.seeds": (int, False, _at_least(1)),
+}
+_FED_KEYS = ("clients", "fraction", "rounds", "local_epochs", "batch", "backdoor_batch",
+             "lr", "momentum", "lr_decay", "dp_sigma", "seed")  # "seed" also sets RunManifest.seed
+
+# embed.<id> field -> (WatermarkSpec attribute, type, rule); the defaults
+# live in WatermarkSpec
+_EMBED_FIELDS = {
+    "mode": ("mode", str, _one_of("scale", "kernel")),
+    "bits": ("n_bits", int, _at_least(1)),
+    "triggers": ("n_triggers", int, _at_least(0)),
+    "loss": ("loss", str, _one_of("hinge", "bce")),
+    "alpha": ("alpha", float, _NON_NEGATIVE),
+    "beta": ("beta", float, _NON_NEGATIVE),
+    "trigger_kind": ("trigger_kind", str, _one_of("pattern", "pgd")),
+}
 
 
 @dataclass
@@ -92,22 +110,28 @@ class RunManifest:
         return replace(self, fed=replace(self.fed, **kw))
 
 
-def _parse_value(key, raw, kind):
+def _check(key, value, rule):
+    if rule is not None and not rule[0](value):
+        raise ConfigError(f"{key} must be {rule[1]}, got {value!r}")
+    return value
+
+
+def _parse_value(key, raw, kind, rule=None):
     try:
         value = kind(raw)
     except ValueError:
         raise ConfigError(f"manifest key {key!r}: cannot parse {raw!r}") from None
     if kind is int and not -2**63 <= value < 2**63:
         raise ConfigError(f"manifest key {key!r}: {raw!r} does not fit in 64 bits")
-    return value
+    return _check(key, value, rule)
 
 
-def _parse_list(key, raw, kind):
-    """Comma-separated values, each parsed as `kind`."""
+def _parse_list(key, raw, kind, rule):
+    """Comma-separated values, each parsed as `kind` and meeting `rule`."""
     raw = raw.strip()
     if not raw:
         return ()
-    return tuple(_parse_value(key, part.strip(), kind) for part in raw.split(","))
+    return tuple(_parse_value(key, part.strip(), kind, rule) for part in raw.split(","))
 
 
 def _parse_embed(key, raw):
@@ -118,14 +142,15 @@ def _parse_embed(key, raw):
         name, value = token.split("=", 1)
         if name not in _EMBED_FIELDS:
             raise ConfigError(f"manifest key {key!r}: unknown field {name!r}")
-        attr, kind = _EMBED_FIELDS[name]
-        spec[attr] = _parse_value(key, value, kind)
-    ws = WatermarkSpec(**spec)
-    for name, value, allowed in (("mode", ws.mode, ("scale", "kernel")),
-                                 ("loss", ws.loss, ("hinge", "bce")),
-                                 ("trigger_kind", ws.trigger_kind, ("pattern", "pgd"))):
-        if value not in allowed:
-            raise ConfigError(f"manifest key {key!r}: bad {name} {value!r}")
+        spec[name] = _parse_value(key, value, _EMBED_FIELDS[name][1])
+    ws = WatermarkSpec(**{_EMBED_FIELDS[name][0]: value for name, value in spec.items()})
+    # the rules that span fields go first: "beta=1 bits=0" is a missing spec
+    if ws.beta > 0 and ws.n_bits < 1:
+        raise ConfigError(f"{key}: missing watermark spec (bits >= 1 required)")
+    if ws.alpha > 0 and ws.n_triggers < 1:
+        raise ConfigError(f"{key}: alpha > 0 needs triggers >= 1")
+    for name, value in spec.items():
+        _check(f"{key}: {name}", value, _EMBED_FIELDS[name][2])
     return ws
 
 
@@ -144,11 +169,11 @@ def parse_manifest(text):
             if not (suffix.isascii() and suffix.isdigit()):
                 raise ConfigError(f"manifest key {key!r}: client id must be an integer")
             embed[_parse_value(key, suffix, int)] = _parse_embed(key, raw)
-        elif key in _SCALARS:
+        elif key in _KEYS:
             if key in values:
                 raise ConfigError(f"manifest key {key!r} appears twice")
-            parse = _parse_list if key in _LISTS else _parse_value
-            values[key] = parse(key, raw, _SCALARS[key])
+            kind, is_list, rule = _KEYS[key]
+            values[key] = (_parse_list if is_list else _parse_value)(key, raw, kind, rule)
         else:
             raise ConfigError(f"unknown manifest key {key!r}")
 
@@ -162,35 +187,11 @@ def parse_manifest(text):
 
 
 def _validate(m):
-    if m.arch not in ("mlp", "cnn"):
-        raise ConfigError(f"arch must be mlp or cnn, got {m.arch!r}")
-    if m.data_kind not in ("blobs", "images"):
-        raise ConfigError(f"data_kind must be blobs or images, got {m.data_kind!r}")
+    """The rules that span several keys."""
     expected = "images" if m.arch == "cnn" else "blobs"
     if m.data_kind != expected:
         raise ConfigError(f"arch = {m.arch} needs data_kind = {expected}, "
                           f"got data_kind = {m.data_kind}")
-    if m.split not in ("iid", "noniid"):
-        raise ConfigError(f"split must be iid or noniid, got {m.split!r}")
-    if m.classes < 2:
-        raise ConfigError("classes must be >= 2")
-    fed = m.fed
-    for key, value, least in (("rounds", fed.rounds, 0), ("local_epochs", fed.local_epochs, 0),
-                              ("batch", fed.batch, 1), ("backdoor_batch", fed.backdoor_batch, 0),
-                              ("sweep.seeds", m.sweep_seeds, 1)):
-        if value < least:
-            raise ConfigError(f"{key} must be >= {least}, got {value!r}")
-    for key, value in (("lr", fed.lr), ("lr_decay", fed.lr_decay),
-                       ("concentration", m.concentration)):
-        if not (math.isfinite(value) and value > 0):
-            raise ConfigError(f"{key} must be finite and > 0, got {value!r}")
-    if not 0.0 <= fed.momentum < 1.0:
-        raise ConfigError(f"momentum must lie in [0, 1), got {fed.momentum!r}")
-    for key, widths in (("hidden", m.hidden), ("channels", m.channels)):
-        if any(n < 1 for n in widths):
-            raise ConfigError(f"{key} widths must be >= 1, got {widths!r}")
-    if m.sweep_kind and m.sweep_kind not in SWEEP_KINDS:
-        raise ConfigError(f"sweep.kind must be one of {SWEEP_KINDS}, got {m.sweep_kind!r}")
     if m.sweep_kind in COUNT_SWEEPS:
         for v in m.sweep_values:
             if not (math.isfinite(v) and v == int(v) and v >= 1):
@@ -201,28 +202,10 @@ def _validate(m):
             try:
                 m.with_fed(**{m.sweep_kind: v})  # FedConfig range-checks each rate
             except ConfigError as exc:
-                raise ConfigError(f"sweep.values: {exc}, got {v!r}") from None
-    for rate in m.attack_prune:
-        if not 0.0 <= rate <= 1.0:  # nan fails too
-            raise ConfigError(f"attack.prune rates must lie in [0, 1], got {rate!r}")
-    for epochs in m.attack_finetune_epochs:
-        if epochs < 0:
-            raise ConfigError(f"attack.finetune_epochs must be whole counts >= 0, got {epochs!r}")
-    if not (math.isfinite(m.attack_finetune_lr) and m.attack_finetune_lr > 0):
-        raise ConfigError(f"attack.finetune_lr must be finite and > 0, got {m.attack_finetune_lr!r}")
-    for cid, spec in m.embed.items():
+                raise ConfigError(f"sweep.values: {exc}") from None
+    for cid in m.embed:
         if not 0 <= cid < m.fed.n_clients:
             raise ConfigError(f"embed.{cid}: no such client (clients = {m.fed.n_clients})")
-        if spec.beta > 0 and spec.n_bits < 1:
-            raise ConfigError(f"embed.{cid}: missing watermark spec (bits >= 1 required)")
-        for name, value in (("alpha", spec.alpha), ("beta", spec.beta)):
-            if not (math.isfinite(value) and value >= 0):
-                raise ConfigError(f"embed.{cid}: {name} must be finite and >= 0, got {value!r}")
-        for name, value, least in (("bits", spec.n_bits, 1), ("triggers", spec.n_triggers, 0)):
-            if value < least:
-                raise ConfigError(f"embed.{cid}: {name} must be >= {least}, got {value!r}")
-        if spec.alpha > 0 and spec.n_triggers < 1:
-            raise ConfigError(f"embed.{cid}: alpha > 0 needs triggers >= 1")
 
 
 def load_manifest(path):

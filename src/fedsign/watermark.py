@@ -44,26 +44,51 @@ def default_eps_h(n_bits):
 # key material
 
 @dataclass
-class ExtractionKey:
-    """Selector naming the embedding pool plus the extraction map.
+class WatermarkKey:
+    """One client's secret: target bits, the selector naming the embedding
+    pool, and the extraction map from that pool to the bits.
 
     Exactly one of `coords` (distinct flat indices into the selected pool;
     the identity-matrix scheme generalized to a coordinate subset) or
-    `matrix` (dense pool_size x n_bits Gaussian map) is set.
+    `matrix` (dense pool_size x n_bits Gaussian map) is set.  A key whose
+    parts do not fit each other raises KeyMismatchError on construction,
+    before anything indexes with it, whether it was generated or loaded.
     """
 
+    client_id: int
+    bits: np.ndarray  # {-1,+1}, int8
     selector: tuple
     pool_size: int
     coords: Optional[np.ndarray] = None
     matrix: Optional[np.ndarray] = None
+    triggers: Optional[TriggerSet] = None
+    margin: float = DEFAULT_MARGIN
+    seed: int = 0
 
     def __post_init__(self):
-        if (self.coords is None) == (self.matrix is None):
+        bits, pool, coords, matrix = self.bits, self.pool_size, self.coords, self.matrix
+        if (coords is None) == (matrix is None):
             raise KeyMismatchError("exactly one of coords/matrix must be set")
+        if bits.ndim != 1 or not bits.size or (np.abs(bits) != 1).any():
+            raise KeyMismatchError("bits must be a non-empty list of -1/+1")
+        if coords is not None:
+            if coords.shape != bits.shape:
+                raise KeyMismatchError(f"{coords.size} coords for {bits.size} bits")
+            c = np.sort(coords)
+            if c[0] < 0 or c[-1] >= pool or (c[1:] == c[:-1]).any():
+                raise KeyMismatchError(f"coords must be distinct and in [0, {pool})")
+        elif matrix.shape != (pool, bits.size) or not np.isfinite(matrix).all():
+            raise KeyMismatchError(f"matrix must be a finite ({pool}, {bits.size}) array, "
+                                   f"got shape {matrix.shape}")
+
+    @property
+    def mode(self):
+        """The embedding mode the extraction map fits: scale or kernel."""
+        return "scale" if self.coords is not None else "kernel"
 
     @property
     def n_bits(self):
-        return len(self.coords) if self.coords is not None else self.matrix.shape[1]
+        return len(self.bits)
 
     def dense(self):
         """Materialize the extraction matrix (one-hot columns in coord mode)."""
@@ -72,20 +97,6 @@ class ExtractionKey:
         e = np.zeros((self.pool_size, len(self.coords)))
         e[self.coords, np.arange(len(self.coords))] = 1.0
         return e
-
-
-@dataclass
-class WatermarkKey:
-    client_id: int
-    bits: np.ndarray  # {-1,+1}, int8
-    extractor: ExtractionKey
-    triggers: Optional[TriggerSet]
-    margin: float = DEFAULT_MARGIN
-    seed: int = 0
-
-    @property
-    def n_bits(self):
-        return len(self.bits)
 
 
 @dataclass
@@ -164,10 +175,9 @@ def keygen(net, client_id, n_bits, n_triggers, mode, seed, dataset=None,
         if offset is None:
             offset = client_id * n_bits
         offsets = (offset + np.arange(n_bits)) % pool
-        extractor = ExtractionKey(selector, pool, coords=perm[offsets])
+        coords, matrix = perm[offsets], None
     else:
-        matrix = rng_for(seed, "wm-matrix", client_id).normal(size=(pool, n_bits))
-        extractor = ExtractionKey(selector, pool, matrix=matrix)
+        coords, matrix = None, rng_for(seed, "wm-matrix", client_id).normal(size=(pool, n_bits))
 
     triggers = None
     if n_triggers > 0:
@@ -186,7 +196,8 @@ def keygen(net, client_id, n_bits, n_triggers, mode, seed, dataset=None,
             raise ShapeError(f"unknown trigger kind {trigger_kind!r}")
     # keyfiles record an integer provenance seed even for composite seeds
     stored = int(seed) if isinstance(seed, (int, np.integer)) else rng_seed_int(seed, client_id)
-    return WatermarkKey(client_id, bits, extractor, triggers, DEFAULT_MARGIN, stored)
+    return WatermarkKey(client_id, bits, selector, pool, coords, matrix, triggers,
+                        DEFAULT_MARGIN, stored)
 
 
 def rng_seed_int(seed, client_id):
@@ -197,15 +208,15 @@ def rng_seed_int(seed, client_id):
 # ---------------------------------------------------------------------------
 # extraction and regularizers
 
-def extract(params, extractor):
+def extract(params, key):
     """Real-valued signature readout: flatten(selected pool)^T E."""
-    w = flatten_selected(params, extractor.selector)
-    if w.size != extractor.pool_size:
+    w = flatten_selected(params, key.selector)
+    if w.size != key.pool_size:
         raise KeyMismatchError(
-            f"pool size {w.size} does not match key's {extractor.pool_size}")
-    if extractor.coords is not None:
-        return w[extractor.coords]
-    return w @ extractor.matrix
+            f"pool size {w.size} does not match key's {key.pool_size}")
+    if key.coords is not None:
+        return w[key.coords]
+    return w @ key.matrix
 
 
 def read_bits(values):
@@ -213,36 +224,36 @@ def read_bits(values):
     return np.where(np.asarray(values) >= 0, 1, -1).astype(np.int8)
 
 
-def _add_bit_grad(params, extractor, dloss_db, grad, beta):
+def _add_bit_grad(params, key, dloss_db, grad, beta):
     """grad += beta * d loss / d params, from d loss / d b: only the key's
     pool entries of `grad` move (the coords are distinct, as is the pool)."""
-    pool = params.layout.index(extractor.selector)
-    if extractor.coords is not None:
-        grad[pool[extractor.coords]] += beta * dloss_db
+    pool = params.layout.index(key.selector)
+    if key.coords is not None:
+        grad[pool[key.coords]] += beta * dloss_db
     else:
-        grad[pool] += beta * (extractor.matrix @ dloss_db)
+        grad[pool] += beta * (key.matrix @ dloss_db)
 
 
 def hinge_reg(params, key, grad, beta):
     """Sign hinge loss sum_j max(margin - t_j b_j, 0); adds beta times its
     gradient into `grad`, a vector in `params.layout`."""
-    b = extract(params, key.extractor)
+    b = extract(params, key)
     t = key.bits.astype(np.float64)
     slack = key.margin - t * b
     active = slack > 0
-    _add_bit_grad(params, key.extractor, np.where(active, -t, 0.0), grad, beta)
+    _add_bit_grad(params, key, np.where(active, -t, 0.0), grad, beta)
     return float(slack[active].sum())
 
 
 def bce_reg(params, key, grad, beta):
     """Binary cross-entropy between sigmoid(b_j) and bits mapped to {0,1};
     adds beta times its gradient into `grad`, a vector in `params.layout`."""
-    b = extract(params, key.extractor)
+    b = extract(params, key)
     t01 = bits_to_binary(key.bits).astype(np.float64)
     # stable: bce_j = softplus(-b) for t=1, softplus(b) for t=0
     z = np.where(t01 > 0.5, -b, b)
     f = 1.0 / (1.0 + np.exp(-b))
-    _add_bit_grad(params, key.extractor, f - t01, grad, beta)
+    _add_bit_grad(params, key, f - t01, grad, beta)
     return float((np.logaddexp(0.0, z)).sum())
 
 
@@ -253,7 +264,7 @@ def verify_white(params, key, eps_h=None):
     """Hamming test of extracted signs against the client's target bits."""
     if eps_h is None:
         eps_h = default_eps_h(key.n_bits)
-    decoded = read_bits(extract(params, key.extractor))
+    decoded = read_bits(extract(params, key))
     hamming = int((decoded != key.bits).sum())
     eta = 1.0 - hamming / key.n_bits
     return VerificationResult("white", eta, hamming <= eps_h, hamming=hamming)
@@ -279,41 +290,25 @@ def save_key(key, path):
         key.triggers.save(trigger_path)
         ref = os.path.basename(trigger_path)
     io.save_keyfile(
-        path, client_id=key.client_id, mode="scale" if key.extractor.coords is not None else "kernel",
-        seed=key.seed, bits=key.bits, selector=key.extractor.selector,
-        pool_size=key.extractor.pool_size, coords=key.extractor.coords,
-        matrix=key.extractor.matrix, trigger_ref=ref, margin=key.margin)
-
-
-def _check_key(raw):
-    """Reject a keyfile whose bits and extractor do not fit each other and
-    the pool (FormatError), before anything indexes with them."""
-    bits, pool, coords, matrix = raw["bits"], raw["pool_size"], raw["coords"], raw["matrix"]
-    if raw["mode"] != ("scale" if coords is not None else "kernel"):
-        raise FormatError(f"keyfile mode {raw['mode']!r} does not fit its "
-                          f"{'coordinate list' if coords is not None else 'matrix'}")
-    if bits.ndim != 1 or not bits.size or (np.abs(bits) != 1).any():
-        raise FormatError("keyfile bits must be a non-empty list of -1/+1")
-    if coords is not None:
-        if coords.shape != bits.shape:
-            raise FormatError(f"keyfile has {coords.size} coords for {bits.size} bits")
-        c = np.sort(coords)
-        if c[0] < 0 or c[-1] >= pool or (c[1:] == c[:-1]).any():
-            raise FormatError(f"keyfile coords must be distinct and in [0, {pool})")
-    elif matrix.shape != (pool, bits.size) or not np.isfinite(matrix).all():
-        raise FormatError(f"keyfile matrix must be a finite ({pool}, {bits.size}) array, "
-                          f"got shape {matrix.shape}")
+        path, client_id=key.client_id, mode=key.mode, seed=key.seed, bits=key.bits,
+        selector=key.selector, pool_size=key.pool_size, coords=key.coords,
+        matrix=key.matrix, trigger_ref=ref, margin=key.margin)
 
 
 def load_key(path):
+    """A key from its keyfile; one whose parts do not fit each other or its
+    stored mode raises FormatError, before anything indexes with it."""
     raw = io.load_keyfile(path)
-    _check_key(raw)
-    extractor = ExtractionKey(raw["selector"], raw["pool_size"],
-                              coords=raw["coords"], matrix=raw["matrix"])
-    ref, triggers = raw["trigger_ref"], None
+    try:
+        key = WatermarkKey(raw["client_id"], raw["bits"], raw["selector"], raw["pool_size"],
+                           raw["coords"], raw["matrix"], None, raw["margin"], raw["seed"])
+    except KeyMismatchError as exc:
+        raise FormatError(f"keyfile: {exc}") from None
+    if raw["mode"] != key.mode:
+        raise FormatError(f"keyfile mode {raw['mode']!r} does not fit its {key.mode} key")
+    ref = raw["trigger_ref"]
     if ref:
         if ref != os.path.basename(ref) or ref in (".", ".."):
             raise FormatError(f"keyfile trigger reference {ref!r} is not a sibling file name")
-        triggers = TriggerSet.load(os.path.join(os.path.dirname(os.path.abspath(path)), ref))
-    return WatermarkKey(raw["client_id"], raw["bits"], extractor, triggers,
-                        raw["margin"], raw["seed"])
+        key.triggers = TriggerSet.load(os.path.join(os.path.dirname(os.path.abspath(path)), ref))
+    return key

@@ -115,13 +115,13 @@ def test_criterion_01_gradient_correctness():
             key = keygen(net, instance, nbits, 0, mode, seed=("acc1w", instance))
             params = net.params
             if reg is hinge_reg:
-                slack = key.margin - key.bits * extract(params, key.extractor)
+                slack = key.margin - key.bits * extract(params, key)
                 if np.abs(slack).min() < 1e-3:
                     continue  # keep probes off the hinge kink
             grads = ModelParams.wrap(params.layout, np.zeros(params.layout.size))
             reg(params, key, grads.vec, 1.0)
             sink = np.zeros(params.layout.size)  # the probes' gradients, unread
-            for sel_key in key.extractor.selector:
+            for sel_key in key.selector:
                 arr = net.params.entries[sel_key]
                 for idx in rng.choice(arr.size, size=min(20, arr.size), replace=False):
                     orig = arr.flat[idx]
@@ -347,7 +347,7 @@ def test_criterion_11_determinism_and_formats(tmp_path):
     save_key(key, resaved_key)
     again = load_key(resaved_key)
     assert np.array_equal(again.bits, key.bits)
-    assert np.array_equal(again.extractor.coords, key.extractor.coords)
+    assert np.array_equal(again.coords, key.coords)
     assert np.array_equal(again.triggers.samples, key.triggers.samples)
     report(11, f"{len(artifacts[0])} artifacts bitwise identical across reruns; "
                "round trips exact")

@@ -79,12 +79,6 @@ def test_prune_composition_zeroes_at_least_max_fraction():
     assert zeroed >= round(0.6 * total)
 
 
-def test_prune_opt_in_roles_cover_scales():
-    p = params_of()
-    out = prune(p, 1.0, seed=1, roles=("kernel", "scale"))
-    assert not out.entries[(1, "scale")].any()
-
-
 # ---------------------------------------------------------------------------
 # fine-tuning
 
@@ -97,7 +91,7 @@ def test_finetune_replays_momentum_sgd():
     ds = make_synthetic(3, 30, seed=7, kind="blobs")  # 90 rows: ragged last batch
     net = build_mlp(32, [16, 16], 3, seed=2)
     start = net.get_params()
-    [got] = finetune(net, start, ds, [3], lr=0.01, batch=16, seed=4)
+    [got] = finetune(net, start, ds, [3], lr=0.01, seed=4)
 
     replay = net.stacked(1)
     replay.set_params(start)
@@ -134,7 +128,7 @@ def test_finetune_budgets_equal_their_own_runs():
     net = build_mlp(32, [16, 16], 3, seed=2)
     start = net.get_params()
     budgets = (0, 5, 3, 5)
-    got = finetune(net, start, ds, budgets, lr=0.01, batch=16, seed=4)
+    got = finetune(net, start, ds, budgets, lr=0.01, seed=4)
     assert len(got) == len(budgets)
     for epochs, params in zip(budgets, got):
         assert params.equal(replay_finetune(net, start, ds, epochs, 0.01, 16, 4))
@@ -147,7 +141,7 @@ def test_finetune_grid_takes_the_largest_budget_of_steps(monkeypatch):
     steps = []
     step = SgdMomentum.step
     monkeypatch.setattr(SgdMomentum, "step", lambda *a: (steps.append(1), step(*a)))
-    finetune(net, net.get_params(), ds, (2, 7, 4), batch=16)
+    finetune(net, net.get_params(), ds, (2, 7, 4))
     assert len(steps) == 7 * -(-ds.n // 16)
 
 

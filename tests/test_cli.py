@@ -10,7 +10,7 @@ import fedsign.watermark
 from fedsign import io
 from fedsign.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_VERIFY_FAILED, main
 from fedsign.nn import build_mlp
-from fedsign.watermark import ExtractionKey, WatermarkKey, keygen, save_key
+from fedsign.watermark import WatermarkKey, keygen, save_key
 
 MINIMAL = """
 classes = 3
@@ -151,8 +151,8 @@ def test_verify_black_with_foreign_trigger_ref_is_input_error(tmp_path, capsys):
     forged = tmp_path / "elsewhere" / "client_0.key"
     forged.parent.mkdir()
     io.save_keyfile(forged, client_id=0, mode="scale", seed=key.seed, bits=key.bits,
-                    selector=key.extractor.selector, pool_size=key.extractor.pool_size,
-                    coords=key.extractor.coords, trigger_ref="../out/client_0.key.triggers")
+                    selector=key.selector, pool_size=key.pool_size,
+                    coords=key.coords, trigger_ref="../out/client_0.key.triggers")
     code = main(["verify", str(out / "checkpoint.bin"), str(forged), "--mode", "black"])
     assert code == EXIT_INPUT
     assert "trigger reference" in capsys.readouterr().err
@@ -191,6 +191,8 @@ BAD_TRIGGERS = {
     "empty": (np.ones((0, 32)), np.zeros(0), "pattern"),
     "nan-samples": (np.full((10, 32), np.nan), np.zeros(10), "pattern"),
     "unknown-provenance": (np.ones((10, 32)), np.zeros(10), "banana"),
+    "label-past-class-count": (np.ones((10, 32)), np.full(10, 99), "pattern"),
+    "negative-label": (np.ones((10, 32)), np.full(10, -1), "pattern"),
 }
 
 
@@ -204,8 +206,8 @@ def test_malformed_trigger_set_is_input_error(trained, capsys, samples, labels, 
     io.save_triggers(out / "bad.triggers", samples, labels, 3,
                      {"provenance": provenance, "eps": "0.0"})
     io.save_keyfile(out / "bad.key", client_id=0, mode="scale", seed=key.seed, bits=key.bits,
-                    selector=key.extractor.selector, pool_size=key.extractor.pool_size,
-                    coords=key.extractor.coords, trigger_ref="bad.triggers")
+                    selector=key.selector, pool_size=key.pool_size,
+                    coords=key.coords, trigger_ref="bad.triggers")
     code = main(["verify", str(out / "checkpoint.bin"), str(out / "bad.key"), "--mode", "black"])
     assert code == EXIT_INPUT
     assert main(["info", str(out / "bad.triggers")]) == EXIT_INPUT
@@ -272,9 +274,8 @@ def test_feasibility_disjoint_keys_exit_ok(tmp_path, capsys):
 
 def test_feasibility_conflicting_keys_exit_nonzero(tmp_path, capsys):
     coords = np.array([0, 1])
-    ex = ExtractionKey(((1, "scale"),), 16, coords=coords)
-    a = WatermarkKey(0, np.array([1, -1], dtype=np.int8), ex, None)
-    b = WatermarkKey(1, np.array([-1, 1], dtype=np.int8), ex, None)
+    a = WatermarkKey(0, np.array([1, -1], dtype=np.int8), ((1, "scale"),), 16, coords=coords)
+    b = WatermarkKey(1, np.array([-1, 1], dtype=np.int8), ((1, "scale"),), 16, coords=coords)
     pa, pb = tmp_path / "a.key", tmp_path / "b.key"
     save_key(a, pa)
     save_key(b, pb)

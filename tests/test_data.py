@@ -215,6 +215,14 @@ def test_trigger_roundtrip_keeps_provenance(tmp_path, image_cnn):
     assert back.eps == 0.25
 
 
+@pytest.mark.parametrize("samples, labels", [(np.full((3, 4), np.nan), [0, 1, 2]),
+                                             (np.ones((3, 4)), [0, 9, 1]),
+                                             (np.ones((3, 4)), [0, -1, 1])])
+def test_trigger_set_in_memory_gets_the_load_checks(samples, labels):
+    with pytest.raises(ShapeError):
+        TriggerSet(samples, labels, "pattern", class_count=4)
+
+
 def test_trigger_set_with_non_numeric_eps_is_format_error(tmp_path):
     path = tmp_path / "trig.bin"
     io.save_triggers(path, np.ones((1, 4)), np.array([1]), 2, {"provenance": "pattern", "eps": "abc"})

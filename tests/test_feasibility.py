@@ -15,18 +15,15 @@ from fedsign.feasibility import (
     verify_certificate,
 )
 from fedsign.nn import build_cnn, build_mlp, rng_for
-from fedsign.watermark import ExtractionKey, keygen
+from fedsign.watermark import WatermarkKey, keygen
 
 from conftest import oracle_feasible_random, oracle_infeasible_lp, random_instance
 
 
-class KeyStub:
-    def __init__(self, client_id, bits, matrix=None, coords=None, pool=None,
-                 selector=((0, "scale"),)):
-        self.client_id = client_id
-        self.bits = np.asarray(bits, dtype=np.int8)
-        pool = pool if pool is not None else (matrix.shape[0] if matrix is not None else 4)
-        self.extractor = ExtractionKey(selector, pool, coords=coords, matrix=matrix)
+def make_key(client_id, bits, matrix=None, coords=None, pool=None, selector=((0, "scale"),)):
+    pool = pool if pool is not None else (matrix.shape[0] if matrix is not None else 4)
+    return WatermarkKey(client_id, np.asarray(bits, dtype=np.int8), selector, pool,
+                        coords=coords, matrix=matrix)
 
 
 def direct_se(u_tilde):
@@ -37,7 +34,7 @@ def direct_se(u_tilde):
 # stacking
 
 def test_stack_applies_bit_signs():
-    key = KeyStub(0, [1, -1], matrix=np.eye(2))
+    key = make_key(0, [1, -1], matrix=np.eye(2))
     se = stack([key])
     np.testing.assert_array_equal(se.u, np.eye(2))
     np.testing.assert_array_equal(se.u_tilde, [[1.0, 0.0], [0.0, -1.0]])
@@ -45,7 +42,7 @@ def test_stack_applies_bit_signs():
 
 def test_stack_positive_bits_equal_u():
     rng = rng_for("stack")
-    keys = [KeyStub(k, [1, 1, 1], matrix=rng.normal(size=(5, 3)), pool=5)
+    keys = [make_key(k, [1, 1, 1], matrix=rng.normal(size=(5, 3)), pool=5)
             for k in range(2)]
     se = stack(keys)
     np.testing.assert_array_equal(se.u, se.u_tilde)
@@ -54,32 +51,32 @@ def test_stack_positive_bits_equal_u():
 
 def test_stack_matches_elementwise_oracle():
     rng = rng_for("stack-oracle")
-    keys = [KeyStub(k, rng.choice([-1, 1], size=4), matrix=rng.normal(size=(6, 4)), pool=6)
+    keys = [make_key(k, rng.choice([-1, 1], size=4), matrix=rng.normal(size=(6, 4)), pool=6)
             for k in range(3)]
     se = stack(keys)
     for k, key in enumerate(keys):
         for j in range(4):
             for i in range(6):
-                assert se.u_tilde[i, 4 * k + j] == key.bits[j] * key.extractor.matrix[i, j]
+                assert se.u_tilde[i, 4 * k + j] == key.bits[j] * key.matrix[i, j]
 
 
 def test_stack_orders_by_client_id():
     rng = rng_for("stack-order")
-    a = KeyStub(1, [1], matrix=rng.normal(size=(3, 1)), pool=3)
-    b = KeyStub(0, [1], matrix=rng.normal(size=(3, 1)), pool=3)
+    a = make_key(1, [1], matrix=rng.normal(size=(3, 1)), pool=3)
+    b = make_key(0, [1], matrix=rng.normal(size=(3, 1)), pool=3)
     se = stack([a, b])
-    np.testing.assert_array_equal(se.u[:, 0], b.extractor.matrix[:, 0])
+    np.testing.assert_array_equal(se.u[:, 0], b.matrix[:, 0])
 
 
 def test_stack_rejects_mixed_selectors():
-    a = KeyStub(0, [1], matrix=np.eye(1), pool=1, selector=((0, "scale"),))
-    b = KeyStub(1, [1], matrix=np.eye(1), pool=1, selector=((2, "kernel"),))
+    a = make_key(0, [1], matrix=np.eye(1), pool=1, selector=((0, "scale"),))
+    b = make_key(1, [1], matrix=np.eye(1), pool=1, selector=((2, "kernel"),))
     with pytest.raises(KeyMismatchError):
         stack([a, b])
 
 
 def test_stack_materializes_coordinate_keys():
-    key = KeyStub(0, [1, -1], coords=np.array([2, 0]), pool=4)
+    key = make_key(0, [1, -1], coords=np.array([2, 0]), pool=4)
     se = stack([key])
     np.testing.assert_array_equal(se.u_tilde[:, 0], [0, 0, 1, 0])
     np.testing.assert_array_equal(se.u_tilde[:, 1], [-1, 0, 0, 0])
@@ -378,8 +375,8 @@ def test_disjoint_coordinate_keys_feasible():
 
 def test_identical_coords_opposite_bits_infeasible():
     coords = np.array([0, 1])
-    a = KeyStub(0, [1, -1], coords=coords, pool=4)
-    b = KeyStub(1, [-1, 1], coords=coords, pool=4)
+    a = make_key(0, [1, -1], coords=coords, pool=4)
+    b = make_key(1, [-1, 1], coords=coords, pool=4)
     se = stack([a, b])
     report = decide(se)
     assert report.status == "infeasible"

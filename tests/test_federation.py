@@ -124,6 +124,14 @@ def test_beta_without_key_is_config_error():
         client_update(net, [state], net.get_params(), cfg)
 
 
+@pytest.mark.parametrize("field, value, key", [("batch", 0, "batch"), ("lr", -0.01, "lr"),
+                                               ("momentum", 1.0, "momentum"),
+                                               ("n_clients", 0, "clients")])
+def test_fedconfig_rejects_out_of_range_fields_by_key(field, value, key):
+    with pytest.raises(ConfigError, match=f"^{key} "):
+        FedConfig(**{field: value})
+
+
 def test_alpha_without_triggers_is_config_error():
     tr, net, shards, cfg, clients = small_world()
     state = clients[0]
@@ -307,8 +315,8 @@ def test_setup_clients_scale_coords_disjoint(bits):
     specs = {cid: WatermarkSpec("scale", n, 0, "hinge", beta=1.0) for cid, n in bits.items()}
     specs[3] = WatermarkSpec("kernel", 16, 0, "bce", beta=1.0)  # takes no channels
     clients = setup_clients(tr, split(tr, 6, seed=0), net, specs, seed=3)
-    coords = [c.key.extractor.coords for c in clients
-              if c.key is not None and c.key.extractor.coords is not None]
+    coords = [c.key.coords for c in clients
+              if c.key is not None and c.key.coords is not None]
     assert [len(c) for c in coords] == [bits[cid] for cid in sorted(bits)]
     assert len(np.unique(np.concatenate(coords))) == sum(bits.values())
 

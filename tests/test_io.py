@@ -205,15 +205,26 @@ def _valid_artifacts():
         return [open(p, "rb").read() for p in paths]
 
 
+def _trigger_bytes(labels, class_count):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t")
+        io.save_triggers(path, np.ones((len(labels), 3)), np.array(labels), class_count, {})
+        return open(path, "rb").read()
+
+
 VALID = _valid_artifacts()
 LOADERS = (io.load_checkpoint, io.load_keyfile, io.load_triggers, TriggerSet.load)
 
 
 @st.composite
 def hostile_bytes(draw):
-    """Raw bytes, an envelope with a random tail, or a valid artifact with
-    overwritten bytes and an optional truncation."""
-    kind = draw(st.sampled_from(("raw", "envelope", "mutated")))
+    """Raw bytes, an envelope with a random tail, a valid artifact with
+    overwritten bytes and an optional truncation, or a well-formed trigger
+    set whose labels may lie outside [0, class_count)."""
+    kind = draw(st.sampled_from(("raw", "envelope", "mutated", "labels")))
+    if kind == "labels":
+        return _trigger_bytes(draw(st.lists(st.integers(-2, 5), min_size=1, max_size=4)),
+                              draw(st.integers(0, 3)))
     if kind == "raw":
         return draw(st.binary(max_size=64))
     if kind == "envelope":
@@ -234,6 +245,9 @@ def test_loaders_return_a_value_or_format_error(data):
             f.write(data)
         for load in LOADERS:
             try:
-                load(path)
+                loaded = load(path)
             except FormatError:
-                pass
+                continue
+            if isinstance(loaded, TriggerSet):
+                labels = loaded.target_labels
+                assert 0 <= labels.min() <= labels.max() < loaded.class_count

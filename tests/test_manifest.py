@@ -1,11 +1,12 @@
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsign.errors import ConfigError
-from fedsign.manifest import _SCALARS, RunManifest, load_manifest, parse_manifest
+from fedsign.manifest import _EMBED_FIELDS, _KEYS, RunManifest, load_manifest, parse_manifest
 
 FULL = """
 # experiment description
@@ -192,6 +193,7 @@ def test_attack_grid_edges_accepted():
     ("momentum = 1", "momentum"), ("momentum = -0.1", "momentum"), ("momentum = nan", "momentum"),
     ("concentration = nan", "concentration"), ("concentration = 0", "concentration"),
     ("hidden = 16,0", "hidden"), ("channels = -8", "channels"), ("sweep.seeds = 0", "sweep.seeds"),
+    ("data_dim = 0", "data_dim"),
 ])
 def test_bad_training_key_rejected_by_name(line, key):
     with pytest.raises(ConfigError, match=rf"^{re.escape(key)} "):
@@ -226,7 +228,7 @@ def test_non_utf8_manifest_is_config_error(tmp_path):
         load_manifest(path)
 
 
-KEYS = sorted(_SCALARS) + ["embed.0", "embed.1", "embed.x", "embed.", "embed.²", "embed.9" * 9]
+KEYS = sorted(_KEYS) + ["embed.0", "embed.1", "embed.x", "embed.", "embed.²", "embed.9" * 9]
 VALUES = st.one_of(
     st.text(max_size=12),
     st.sampled_from(["0", "-1", "1e400", "inf", "nan", "2.5", "3,4", "16,,2", "16.7,2.2", "mlp", "cnn",
@@ -261,3 +263,16 @@ def test_integer_lists_hold_exactly_the_integers_written(key, numbers):
         return
     assert all(type(n) is int for n in numbers)
     assert getattr(m, INT_LISTS[key]) == tuple(numbers)
+
+
+def test_every_key_and_embed_field_is_documented():
+    """docs/FORMATS.md's manifest block lists exactly the parser's keys, and
+    its embed lines use exactly the parser's embed fields."""
+    text = (Path(__file__).parent.parent / "docs" / "FORMATS.md").read_text()
+    block = text.split("# Run manifest", 1)[1].split("```")[1]
+    lines = [line.split("#", 1)[0].strip() for line in block.splitlines()]
+    pairs = [line.split("=", 1) for line in lines if "=" in line]
+    assert {key.strip() for key, _ in pairs if not key.startswith("embed.")} == set(_KEYS)
+    fields = {token.split("=", 1)[0] for key, value in pairs if key.startswith("embed.")
+              for token in value.split()}
+    assert fields == set(_EMBED_FIELDS)

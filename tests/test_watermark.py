@@ -8,7 +8,7 @@ from fedsign.data import make_synthetic
 from fedsign.errors import CapacityError, FormatError, KeyMismatchError
 from fedsign.nn import ModelParams, build_mlp, fit, rng_for
 from fedsign.watermark import (
-    ExtractionKey,
+    WatermarkKey,
     bce_reg,
     bits_to_binary,
     default_eps_h,
@@ -35,19 +35,15 @@ def reg_grad(reg, params, key, beta=1.0):
     return loss, ModelParams.wrap(params.layout, grad)
 
 
-def scale_extractor(n, matrix=None, coords=None):
+def scale_key(n, bits=None, matrix=None, coords=None, margin=0.1):
+    """A key on an n-entry scale pool: the identity matrix and all bits +1
+    unless given."""
     if matrix is None and coords is None:
         matrix = np.eye(n)
-    return ExtractionKey(((0, "scale"),), n, coords=coords, matrix=matrix)
-
-
-class FakeKey:
-    def __init__(self, bits, extractor, margin=0.1):
-        self.bits = np.asarray(bits, dtype=np.int8)
-        self.extractor = extractor
-        self.margin = margin
-        self.n_bits = len(self.bits)
-        self.triggers = None
+    if bits is None:
+        bits = np.ones(len(coords) if coords is not None else matrix.shape[1])
+    return WatermarkKey(0, np.asarray(bits, dtype=np.int8), ((0, "scale"),), n,
+                        coords=coords, matrix=matrix, margin=margin)
 
 
 # ---------------------------------------------------------------------------
@@ -56,15 +52,15 @@ class FakeKey:
 def test_scale_keygen_gives_distinct_channel_indices():
     net = build_mlp(8, [16], 3, seed=0)  # one 16-channel scale-norm layer
     key = keygen(net, client_id=0, n_bits=8, n_triggers=0, mode="scale", seed=1)
-    assert key.extractor.coords is not None
-    assert len(np.unique(key.extractor.coords)) == 8
-    assert key.extractor.pool_size == 16
+    assert key.coords is not None
+    assert len(np.unique(key.coords)) == 8
+    assert key.pool_size == 16
 
 
 def test_scale_keygen_clients_disjoint_within_capacity():
     net = build_mlp(8, [16, 16], 3, seed=0)  # pool of 32 channels
     keys = [keygen(net, k, 8, 0, "scale", seed=5) for k in range(4)]
-    merged = np.concatenate([k.extractor.coords for k in keys])
+    merged = np.concatenate([k.coords for k in keys])
     assert len(np.unique(merged)) == 32
 
 
@@ -72,8 +68,8 @@ def test_kernel_keygen_matrices_differ_between_clients():
     net = build_mlp(8, [16, 16], 3, seed=0)
     a = keygen(net, 0, 8, 0, "kernel", seed=5)
     b = keygen(net, 1, 8, 0, "kernel", seed=5)
-    assert a.extractor.matrix.shape == (16 * 16, 8)
-    assert not np.array_equal(a.extractor.matrix, b.extractor.matrix)
+    assert a.matrix.shape == (16 * 16, 8)
+    assert not np.array_equal(a.matrix, b.matrix)
 
 
 def test_keygen_deterministic_per_seed_and_client():
@@ -81,7 +77,7 @@ def test_keygen_deterministic_per_seed_and_client():
     a = keygen(net, 2, 6, 0, "kernel", seed=9)
     b = keygen(net, 2, 6, 0, "kernel", seed=9)
     np.testing.assert_array_equal(a.bits, b.bits)
-    np.testing.assert_array_equal(a.extractor.matrix, b.extractor.matrix)
+    np.testing.assert_array_equal(a.matrix, b.matrix)
 
 
 def test_bit_balance_monte_carlo():
@@ -108,12 +104,12 @@ def test_default_selector_policies():
 # extraction
 
 def test_extract_identity():
-    vals = extract(scale_params([0.3, -0.5]), scale_extractor(2))
+    vals = extract(scale_params([0.3, -0.5]), scale_key(2))
     np.testing.assert_allclose(vals, [0.3, -0.5])
 
 
 def test_extract_zero_matrix():
-    e = scale_extractor(2, matrix=np.zeros((2, 3)))
+    e = scale_key(2, matrix=np.zeros((2, 3)))
     np.testing.assert_array_equal(extract(scale_params([0.3, -0.5]), e), np.zeros(3))
 
 
@@ -121,7 +117,7 @@ def test_extract_matches_double_loop_oracle():
     rng = rng_for("extract-oracle")
     w = rng.normal(size=12)
     e = rng.normal(size=(12, 5))
-    got = extract(scale_params(w), scale_extractor(12, matrix=e))
+    got = extract(scale_params(w), scale_key(12, matrix=e))
     expect = np.zeros(5)
     for j in range(5):
         for m in range(12):
@@ -131,7 +127,15 @@ def test_extract_matches_double_loop_oracle():
 
 def test_extract_rejects_wrong_pool():
     with pytest.raises(KeyMismatchError):
-        extract(scale_params([1.0, 2.0, 3.0]), scale_extractor(2))
+        extract(scale_params([1.0, 2.0, 3.0]), scale_key(2))
+
+
+@pytest.mark.parametrize("fields", [dict(coords=np.array([2, 2])), dict(coords=np.array([0, 4])),
+                                    dict(matrix=np.ones((3, 2))),
+                                    dict(bits=[1, 0], coords=np.array([0, 1]))])
+def test_key_parts_that_do_not_fit_are_rejected_on_construction(fields):
+    with pytest.raises(KeyMismatchError):
+        scale_key(4, **{"bits": [1, -1], **fields})
 
 
 def test_read_bits_signs_and_tie_rule():
@@ -143,7 +147,7 @@ def test_read_bits_invariant_under_positive_scaling():
     rng = rng_for("scaling")
     w = rng.normal(size=10)
     e = rng.normal(size=(10, 6))
-    ek = scale_extractor(10, matrix=e)
+    ek = scale_key(10, matrix=e)
     base = read_bits(extract(scale_params(w), ek))
     for c in (0.1, 3.0, 1e6):
         np.testing.assert_array_equal(read_bits(extract(scale_params(c * w), ek)), base)
@@ -159,8 +163,7 @@ def test_binary_bit_mapping_roundtrip():
 # regularizers
 
 def test_hinge_terms_by_hand():
-    ek = scale_extractor(1, matrix=np.eye(1))
-    key = FakeKey([1], ek, margin=0.5)
+    key = scale_key(1, [1], margin=0.5)
     loss, _ = reg_grad(hinge_reg, scale_params([1.0]), key)
     assert loss == 0.0
     loss, _ = reg_grad(hinge_reg, scale_params([-0.2]), key)
@@ -170,7 +173,7 @@ def test_hinge_terms_by_hand():
 def test_hinge_zero_iff_margins_met_and_verifies():
     rng = rng_for("hinge-zero")
     bits = read_bits(rng.normal(size=6))
-    key = FakeKey(bits, scale_extractor(6), margin=0.1)
+    key = scale_key(6, bits, margin=0.1)
     good = scale_params(0.2 * bits.astype(float))
     loss, grads = reg_grad(hinge_reg, good, key)
     assert loss == 0.0
@@ -199,10 +202,10 @@ def test_regularizer_gradients_match_finite_differences(reg):
     for trial in range(5):
         w = rng.normal(size=10)
         e = rng.normal(size=(10, 7))
-        key = FakeKey(read_bits(rng.normal(size=7)), scale_extractor(10, matrix=e))
+        key = scale_key(10, read_bits(rng.normal(size=7)), matrix=e)
         params = scale_params(w)
         if reg is hinge_reg:
-            slack = key.margin - key.bits * extract(params, key.extractor)
+            slack = key.margin - key.bits * extract(params, key)
             if np.abs(slack).min() < 1e-3:  # keep probes away from the kink
                 continue
         _, grads = reg_grad(reg, params, key)
@@ -213,18 +216,17 @@ def test_regularizer_gradients_match_finite_differences(reg):
 
 
 def test_bce_values_by_hand():
-    ek = scale_extractor(1, matrix=np.eye(1))
     for t in (-1, 1):
-        loss, _ = reg_grad(bce_reg, scale_params([0.0]), FakeKey([t], ek))
+        loss, _ = reg_grad(bce_reg, scale_params([0.0]), scale_key(1, [t]))
         assert loss == pytest.approx(math.log(2), rel=1e-12)
-    loss, _ = reg_grad(bce_reg, scale_params([40.0]), FakeKey([1], ek))
+    loss, _ = reg_grad(bce_reg, scale_params([40.0]), scale_key(1, [1]))
     assert loss < 1e-12
 
 
 def test_gradients_vanish_on_satisfied_bits():
     # hinge gradient must be exactly zero for bits already past the margin
     e = np.eye(4)
-    key = FakeKey([1, 1, -1, -1], scale_extractor(4, matrix=e), margin=0.1)
+    key = scale_key(4, [1, 1, -1, -1], matrix=e, margin=0.1)
     params = scale_params([0.5, 0.05, -0.5, 0.02])
     _, grads = reg_grad(hinge_reg, params, key)
     g = grads.entries[(0, "scale")]
@@ -247,7 +249,7 @@ def test_regularizer_adds_into_the_pool_entries_only(reg, mode):
     beta = 2.5
     loss = reg(params, key, grad, beta)
 
-    b = extract(params, key.extractor)
+    b = extract(params, key)
     t = key.bits.astype(float)
     if reg is hinge_reg:
         slack = key.margin - t * b
@@ -255,12 +257,12 @@ def test_regularizer_adds_into_the_pool_entries_only(reg, mode):
         assert loss == float(slack[slack > 0].sum())
     else:
         dloss_db = 1.0 / (1.0 + np.exp(-b)) - bits_to_binary(key.bits)
-    pool = params.layout.index(key.extractor.selector)
-    touched = pool if key.extractor.coords is None else pool[key.extractor.coords]
+    pool = params.layout.index(key.selector)
+    touched = pool if key.coords is None else pool[key.coords]
     outside = np.ones(grad.size, dtype=bool)
     outside[touched] = False
     assert before[outside].tobytes() == grad[outside].tobytes()
-    step = beta * (key.extractor.dense() @ dloss_db)
+    step = beta * (key.dense() @ dloss_db)
     assert step.any() and before[pool].any()
     expect = before.copy()
     expect[pool] += step  # added to the row's entries, not written over them
@@ -272,14 +274,14 @@ def test_regularizer_adds_into_the_pool_entries_only(reg, mode):
 
 def test_verify_white_perfect_embedding():
     bits = np.array([1, -1, 1, 1, -1, -1, 1, -1], dtype=np.int8)
-    key = FakeKey(bits, scale_extractor(8))
+    key = scale_key(8, bits)
     res = verify_white(scale_params(bits.astype(float)), key)
     assert res.hamming == 0 and res.detection_rate == 1.0 and res.verdict
 
 
 def test_verify_white_eta_formula():
     bits = np.ones(8, dtype=np.int8)
-    key = FakeKey(bits, scale_extractor(8))
+    key = scale_key(8, bits)
     w = np.ones(8)
     w[:2] = -1.0  # two mismatches
     res = verify_white(scale_params(w), key)
@@ -344,9 +346,9 @@ def test_keyfile_roundtrip_scale(tmp_path):
     back = load_key(path)
     assert back.client_id == 5 and back.seed == 13 and back.margin == key.margin
     np.testing.assert_array_equal(back.bits, key.bits)
-    np.testing.assert_array_equal(back.extractor.coords, key.extractor.coords)
-    assert back.extractor.pool_size == key.extractor.pool_size
-    assert back.extractor.selector == key.extractor.selector
+    np.testing.assert_array_equal(back.coords, key.coords)
+    assert back.pool_size == key.pool_size
+    assert back.selector == key.selector
     np.testing.assert_array_equal(back.triggers.samples, key.triggers.samples)
     import os
     assert (os.stat(path).st_mode & 0o777) == 0o600
@@ -358,7 +360,7 @@ def test_keyfile_roundtrip_kernel(tmp_path):
     path = tmp_path / "client2.key"
     save_key(key, path)
     back = load_key(path)
-    np.testing.assert_array_equal(back.extractor.matrix, key.extractor.matrix)
+    np.testing.assert_array_equal(back.matrix, key.matrix)
     assert back.triggers is None
     # loaded key verifies against the same model exactly like the original
     assert verify_white(net.params, back).hamming == verify_white(net.params, key).hamming
@@ -377,8 +379,8 @@ def test_keyfile_trigger_ref_must_be_a_sibling_name(tmp_path, ref):
         ref = str(tmp_path / "other" / "client_4.key.triggers")
     forged = tmp_path / "run" / "client_4.key"
     io.save_keyfile(forged, client_id=4, mode="scale", seed=13, bits=key.bits,
-                    selector=key.extractor.selector, pool_size=key.extractor.pool_size,
-                    coords=key.extractor.coords, trigger_ref=ref)
+                    selector=key.selector, pool_size=key.pool_size,
+                    coords=key.coords, trigger_ref=ref)
     with pytest.raises(FormatError, match="trigger reference"):
         load_key(forged)
 
@@ -390,7 +392,7 @@ def test_keyfile_mode_must_fit_its_extractor(tmp_path, mode, extractor):
     key = keygen(net, 2, 8, 0, "scale" if extractor == "coords" else "kernel", seed=4)
     path = tmp_path / "forged.key"
     io.save_keyfile(path, client_id=2, mode=mode, seed=4, bits=key.bits,
-                    selector=key.extractor.selector, pool_size=key.extractor.pool_size,
-                    coords=key.extractor.coords, matrix=key.extractor.matrix)
+                    selector=key.selector, pool_size=key.pool_size,
+                    coords=key.coords, matrix=key.matrix)
     with pytest.raises(FormatError, match="mode"):
         load_key(path)
