@@ -87,10 +87,12 @@ def cmd_feasibility(args):
     print(report.summary())
     if args.csv:
         io.write_csv(args.csv, ("cond_rank", "cond_positive_row", "cond_gram_positive",
-                                "status", "margin", "nnls_residual", "n_keys", "total_bits"),
+                                "status", "margin", "nnls_residual", "n_keys", "total_bits",
+                                "iterations", "min_norm"),
                      [(int(report.cond_rank), int(report.cond_positive_row),
                        int(report.cond_gram_positive), report.status, report.margin,
-                       report.nnls_residual, se.n_keys, se.n_cols)])
+                       report.nnls_residual, se.n_keys, se.n_cols, report.iterations,
+                       report.min_norm)])
     return EXIT_VERIFY_FAILED if report.status == "infeasible" else EXIT_OK
 
 

@@ -9,13 +9,15 @@ exactly one of the following holds:
 * some W satisfies W^T U~ > 0          (feasibility certificate W), or
 * some y >= 0, y != 0 has U~ y = 0     (infeasibility certificate y).
 
-`decide` finds p, the point nearest the origin in the convex hull of the
-unit-normalised columns of U~, with Wolfe's finite min-norm-point
-algorithm (Math. Programming 11 (1976) 128-149): a non-zero p gives W and
-p = 0 gives y.  Unknown means that neither certificate re-verified.  The
-corral is kept in buffers with the inverse of its lifted Gram, updated by
-rank one, and one refinement step against the kept lifted Gram stands in
-for a per-cycle solve.
+`decide` scales the columns of U~ to unit length and forms their one Gram
+matrix.  It finds p, the point nearest the origin in the convex hull of
+the unit columns, with Wolfe's finite min-norm-point algorithm (Math.
+Programming 11 (1976) 128-149): a non-zero p gives W and p = 0 gives y.
+Unknown means that neither certificate re-verified.  The corral is kept in
+buffers with the inverse of its lifted Gram and that inverse's row sums.
+An append's rank-one border is kept pending, and one GEMM folds up to
+BORDER_TERMS of them into the inverse; one refinement step against the
+kept lifted Gram stands in for a per-cycle solve.
 
 Three sufficient conditions guarantee the feasible branch: full column
 rank of U (from its singular values; no SVD when U is wider than tall),
@@ -32,6 +34,7 @@ from .watermark import default_selector, flatten_selected
 RANK_TOL = 1e-10
 STRICT_FLOOR = 1e-9
 WOLFE_TOL = 1e-12
+BORDER_TERMS = 16  # rank-one borders kept pending before one GEMM folds them
 
 
 @dataclass
@@ -102,7 +105,8 @@ def numerical_rank(a, rel_tol=RANK_TOL):
 def check_conditions(se, gram=None):
     """The three sufficient conditions, in order: rank(U) equals the column
     count, some row of U~ is strictly positive, the Gram matrix of U~ is
-    strictly positive entrywise.  `gram` may pass in U~^T U~."""
+    strictly positive entrywise.  `gram` may pass in U~^T U~, or the Gram
+    matrix of the columns of U~ scaled to unit length, which has its signs."""
     cond_rank = len(se.u) >= se.n_cols and numerical_rank(se.u) == se.n_cols
     cond_row = bool((se.u_tilde > 0).all(axis=1).any())
     gram = se.u_tilde.T @ se.u_tilde if gram is None else gram
@@ -111,6 +115,11 @@ def check_conditions(se, gram=None):
 
 # ---------------------------------------------------------------------------
 # certificates
+
+def _fold(inv, terms, pivots, k, p):
+    """Add the p pending border terms into inv[:k, :k] with one GEMM."""
+    inv[:k, :k] += (terms[:p, :k].T * pivots[:p]) @ terms[:p, :k]
+
 
 def _min_norm_point(gram, dim, tol=WOLFE_TOL):
     """Wolfe's algorithm for x, the point nearest the origin in the convex
@@ -121,31 +130,51 @@ def _min_norm_point(gram, dim, tol=WOLFE_TOL):
     non-positive.  Stops when |x|^2 - min_j x^T u_j <= tol * max_j |u_j|^2,
     the entering point is in the corral, or rounding stops x shrinking or
     fills the buffers.  They hold min(N, dim + 1) + 1 corral points: Gram
-    rows, the lifted Gram A = G_S + 1 1^T and A^-1, bordered on an append
-    (v = A^-1 c, s = d - c^T v) and Schur-downdated on a drop.  The affine
-    point is b / sum(b), b = A^-1 1 refined once by b += A^-1 (1 - A b), so a
-    minor cycle costs O(k^2).  Returns (corral, weights, major cycles)."""
+    rows, the lifted Gram A = G_S + 1 1^T and A^-1.  An append borders A^-1
+    by the rank-one term t t^T / s, t = (v, -1), v = A^-1 c, s = d - c^T v,
+    which is kept pending: A^-1 = inv + T^T diag(1/s) T, so A^-1 x costs
+    one k x k product plus two thin ones.  One GEMM folds the terms into
+    inv when BORDER_TERMS are pending and before a drop's Schur downdate; a
+    refactor from the lifted Gram replaces them.
+    The row sums b = A^-1 1 are kept too: an append sets
+    b += (v/s)(sum v - 1) and b_k = (1 - sum v)/s, and a drop or a refactor
+    recomputes them.  The affine point is b / sum(b), b refined once by
+    b += A^-1 (1 - A b), so a minor cycle costs O(k^2).  Returns (corral,
+    weights, major cycles)."""
     n, diag = len(gram), np.diag(gram)
-    cap = min(n, dim + 1) + 1
+    cap, stop = min(n, dim + 1) + 1, tol * diag.max()
     idx, rows = np.empty(cap, np.intp), np.empty((cap, n))
-    lifted, inv, scratch = np.empty((3, cap, cap))
-    k, j, weights, last, iterations = 0, int(np.argmin(diag)), np.ones(0), np.inf, 0
+    lifted, inv = np.empty((2, cap, cap))
+    sums, terms, pivots = np.empty(cap), np.empty((BORDER_TERMS, cap)), np.empty(BORDER_TERMS)
+    k, p, j, weights, last, iterations = 0, 0, int(np.argmin(diag)), np.ones(0), np.inf, 0
+
+    def solve(x):  # A^-1 x with the pending terms
+        pending = terms[:p, :k]
+        return inv[:k, :k] @ x + (pivots[:p] * (pending @ x)) @ pending
+
     while True:
         idx[k], rows[k] = j, gram[j]
         lifted[k, :k + 1] = lifted[:k + 1, k] = rows[:k + 1, j] + 1.0
         c = lifted[:k, k]
-        v = inv[:k, :k] @ c
+        v = solve(c)
         s = lifted[k, k] - c @ v
-        if s > 0:  # border A^-1: A^-1 += v v^T / s, new row and column -v/s, 1/s
-            inv[:k, :k] += np.outer(v, v / s, out=scratch[:k, :k])
-            inv[k, :k] = inv[:k, k] = -v / s
-            inv[k, k] = 1.0 / s
-        else:  # only rounding makes s <= 0: refactor from the kept lifted Gram
+        if s > 0:
+            if p == BORDER_TERMS:
+                _fold(inv, terms, pivots, k, p)
+                p = 0
+            inv[k, :k + 1] = inv[:k + 1, k] = 0.0
+            terms[p, :k], terms[p, k], terms[p, k + 1:], pivots[p] = v, -1.0, 0.0, 1.0 / s
+            total = v.sum()
+            sums[:k] += v * ((total - 1.0) / s)
+            sums[k] = (1.0 - total) / s
+            p += 1
+        else:  # only rounding makes s <= 0: refactor from the kept lifted Gram,
+            # which replaces the pending terms too
             inv[:k + 1, :k + 1] = np.linalg.inv(lifted[:k + 1, :k + 1])
+            sums[:k + 1], p = inv[:k + 1, :k + 1].sum(axis=1), 0
         k, weights = k + 1, np.append(weights, 0.0)
         while True:
-            affine = inv[:k, :k].sum(axis=1)
-            affine += inv[:k, :k] @ (1.0 - lifted[:k, :k] @ affine)
+            affine = sums[:k] + solve(1.0 - lifted[:k, :k] @ sums[:k])
             affine /= affine.sum()
             if (affine > 0).all():
                 weights = affine
@@ -154,35 +183,43 @@ def _min_norm_point(gram, dim, tol=WOLFE_TOL):
             ratios = weights[blocked] / (weights[blocked] - affine[blocked])
             weights = weights + ratios.min() * (affine - weights)
             weights[blocked[np.argmin(ratios)]] = 0.0
+            if p:
+                _fold(inv, terms, pivots, k, p)
+                p = 0
             for i in np.flatnonzero(~(weights > 0)):  # Schur downdate of each drop
                 inv[:k, :k] -= np.outer(inv[:k, i], inv[i, :k] / inv[i, i])
             keep = np.flatnonzero(weights > 0)
             k, weights, sub = keep.size, weights[keep], np.ix_(keep, keep)
             inv[:k, :k], lifted[:k, :k] = inv[sub], lifted[sub]
             rows[:k], idx[:k] = rows[keep], idx[keep]
+            sums[:k] = inv[:k, :k].sum(axis=1)
         iterations += 1
         dots = weights @ rows[:k]
         norm2 = weights @ dots[idx[:k]]
         j = int(np.argmin(dots))
-        if norm2 - dots[j] <= tol * diag.max() or j in idx[:k] or norm2 >= last or k == cap:
+        if norm2 - dots[j] <= stop or j in idx[:k] or norm2 >= last or k == cap:
             return idx[:k].tolist(), weights, iterations
         last = norm2
 
 
 def decide(se):
-    """Gordan's alternative with a certificate either way.  A non-zero p has
-    p^T u~_j >= |p|^2 |u~_j| > 0, so W = p rescaled to worst margin 1; for
-    p = 0 the convex weights of the unit columns, divided by the column
-    norms and renormalised, are y.  Unknown only when neither verifies."""
+    """Gordan's alternative with a certificate either way.  The columns of
+    U~ are scaled to unit length first and their one Gram matrix serves
+    both the conditions (its signs are those of U~^T U~) and the search.
+    A non-zero p has p^T u~_j >= |p|^2 |u~_j| > 0, so W = p rescaled to
+    worst margin 1; for p = 0 the convex weights of the unit columns,
+    divided by the column norms and renormalised, are y.  Unknown only when
+    neither verifies."""
     ut = se.u_tilde
-    gram = ut.T @ ut
+    norms = np.sqrt(np.einsum("ij,ij->j", ut, ut))
+    unit = ut / np.where(norms > 0, norms, 1.0)  # a zero column stays zero
+    gram = unit.T @ unit
     conds = check_conditions(se, gram)
-    norms = np.sqrt(np.diag(gram))
     y, iterations = np.zeros(se.n_cols), 0
     if (norms == 0).any():  # a zero column is its own infeasibility certificate
         y[np.argmin(norms)] = 1.0
     else:
-        corral, weights, iterations = _min_norm_point(gram / np.outer(norms, norms), dim=len(ut))
+        corral, weights, iterations = _min_norm_point(gram, dim=len(ut))
         y[corral] = weights / norms[corral]
     stats = dict(iterations=iterations, min_norm=float(np.linalg.norm(ut @ y)))
     y /= y.sum()

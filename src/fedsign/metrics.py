@@ -100,7 +100,7 @@ def run_sweep(m, seeds):
     kinds `<kind>_<metric>_*.csv`.  Fidelity kinds add a zero-payload
     point; reliability_bits marks the capacity bound."""
     if m.sweep_kind not in _SWEEPS:
-        raise ConfigError(f"sweep.kind must be one of {tuple(_SWEEPS)}, got {m.sweep_kind!r}")
+        raise ConfigError(f"the manifest sets no sweep to run (sweep.kind = {m.sweep_kind!r})")
     if not m.embed:
         raise ConfigError(f"sweep.kind = {m.sweep_kind} needs embedding clients "
                           "(embed.<id> lines) in the manifest")

@@ -456,7 +456,10 @@ class Network:
         return ModelParams.wrap(layout, grads)
 
     def predict(self, x):
-        return self.forward(x, train=False).argmax(axis=1)
+        """Classes of one batch (B, *input_shape) on a one-client network.
+        It is passed on stacked, as (1, B, *input_shape), so that forward
+        rejects a one-sample batch with an extra axis."""
+        return self.forward(np.asarray(x)[None])[0].argmax(axis=1)
 
 
 # ---------------------------------------------------------------------------

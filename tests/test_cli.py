@@ -214,6 +214,20 @@ def test_malformed_trigger_set_is_input_error(trained, capsys, samples, labels, 
     assert "trigger" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("shape", [(10, 31), (1, 3, 32)])
+def test_trigger_set_that_misfits_the_network_is_input_error(trained, capsys, shape):
+    _, out = trained
+    key = fedsign.watermark.load_key(out / "client_0.key")
+    io.save_triggers(out / "wide.triggers", np.ones(shape), np.zeros(shape[0]), 3,
+                     {"provenance": "pattern", "eps": "0.0"})
+    io.save_keyfile(out / "wide.key", client_id=0, mode="scale", seed=key.seed, bits=key.bits,
+                    selector=key.selector, pool_size=key.pool_size,
+                    coords=key.coords, trigger_ref="wide.triggers")
+    code = main(["verify", str(out / "checkpoint.bin"), str(out / "wide.key"), "--mode", "black"])
+    assert code == EXIT_INPUT
+    assert "input shape" in capsys.readouterr().err
+
+
 def _write_keyfile(path, bits, coords=None, matrix=None, mode=None):
     """A keyfile on the 4-channel scale pool of build_mlp(8, [4], 3), its
     mode the one its extractor fits unless given."""
@@ -270,6 +284,24 @@ def test_feasibility_disjoint_keys_exit_ok(tmp_path, capsys):
     header, row = csv_path.read_text().strip().split("\n")
     assert header.startswith("cond_rank,")
     assert ",feasible," in row
+
+
+def test_feasibility_csv_ends_with_iterations_and_min_norm(tmp_path, capsys):
+    net = build_mlp(32, [16, 16], 4, seed=1)
+    paths = []
+    for cid in range(2):
+        p = tmp_path / f"c{cid}.key"
+        save_key(keygen(net, cid, 16, 0, "kernel", seed=5), p)
+        paths.append(str(p))
+    csv_path = tmp_path / "report.csv"
+    assert main(["feasibility", *paths, "--csv", str(csv_path)]) == EXIT_OK
+    out = capsys.readouterr().out
+    header, row = (line.split(",") for line in csv_path.read_text().strip().split("\n"))
+    assert header[-3:] == ["total_bits", "iterations", "min_norm"]
+    cells = dict(zip(header, row))
+    assert cells["total_bits"] == "32"
+    assert f"iterations={cells['iterations']} " in out
+    assert f"min_norm={float(cells['min_norm']):.3e}" in out
 
 
 def test_feasibility_conflicting_keys_exit_nonzero(tmp_path, capsys):

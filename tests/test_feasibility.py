@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 from fedsign import feasibility
 from fedsign.errors import KeyMismatchError
 from fedsign.feasibility import (
+    BORDER_TERMS,
     WOLFE_TOL,
     StackedExtractors,
     _min_norm_point,
@@ -301,10 +305,12 @@ def assert_decide_matches_reference(se, monkeypatch):
     return report
 
 
-def degenerate_instance(rng):
+def degenerate_instance(rng, m=None, cols=None):
     """Gaussian columns, each after the first possibly replaced by a
-    duplicate or the opposite of an earlier column, or a signed one-hot."""
-    m, cols = int(rng.integers(2, 7)), int(rng.integers(2, 10))
+    duplicate or the opposite of an earlier column, or a signed one-hot.
+    The shape is drawn (2-6 rows, 2-9 columns) unless given."""
+    if m is None:
+        m, cols = int(rng.integers(2, 7)), int(rng.integers(2, 10))
     ut = rng.normal(size=(m, cols))
     for c in range(1, cols):
         kind = int(rng.integers(4))
@@ -358,6 +364,92 @@ def test_min_norm_point_with_fewer_buffer_slots_than_points():
     for seed in range(20):
         se = random_instance(rng_for("wide-corral", seed), m=3, cols=12)
         assert_matches_reference(unit_gram(se.u_tilde), dim=3)
+
+
+@pytest.mark.parametrize("kind, dim, seed", [
+    ("gaussian", 24, 3), ("gaussian", 32, 1), ("gaussian", 40, 1), ("gaussian", 40, 2),
+    ("degenerate", 24, 9), ("degenerate", 40, 0), ("degenerate", 40, 9)])
+def test_min_norm_point_matches_reference_past_the_pending_borders(kind, dim, seed, monkeypatch):
+    """3 * dim points in R^dim make corrals long enough to fill the pending
+    border terms: each instance folds them into the inverse at least twice,
+    once with the buffer full, and drops at least one point (one Schur
+    downdate, the only np.outer left)."""
+    rng = rng_for("deferred", kind, dim, seed)
+    se = (random_instance(rng, m=dim, cols=3 * dim) if kind == "gaussian"
+          else degenerate_instance(rng, m=dim, cols=3 * dim))
+    folds, drops = [], []
+    fold, outer = feasibility._fold, np.outer
+    with monkeypatch.context() as m:
+        m.setattr(feasibility, "_fold", lambda *args: folds.append(args[-1]) or fold(*args))
+        m.setattr(np, "outer", lambda *args, **kw: drops.append(1) or outer(*args, **kw))
+        assert_matches_reference(unit_gram(se.u_tilde), dim=dim, same_corral=kind == "gaussian")
+    assert len(folds) >= 2 and BORDER_TERMS in folds and drops, (folds, len(drops))
+    report = assert_decide_matches_reference(se, monkeypatch)
+    assert report.status != "unknown" and verify_certificate(se, report)
+
+
+def test_decide_reports_the_conditions_of_u_tilde():
+    """decide passes the Gram of the unit columns to check_conditions: the
+    conditions are those of U~ itself, zero columns included."""
+    instances = [random_instance(rng_for("unit-gram", seed)) for seed in range(30)]
+    instances += [degenerate_instance(rng_for("degenerate", seed)) for seed in range(30)]
+    instances += [direct_se(np.array([[1.0, 0.0, 2.0], [0.5, 0.0, 1.0]])), direct_se(np.ones((3, 2)))]
+    for se in instances:
+        report = decide(se)
+        conds = (report.cond_rank, report.cond_positive_row, report.cond_gram_positive)
+        assert conds == check_conditions(se)
+
+
+# ---------------------------------------------------------------------------
+# independent oracles from the theory: Cover's counting theorem and the
+# rank equivalence
+
+def cover_fraction(n, d):
+    """Cover (IEEE Trans. Electronic Computers EC-14, 1965): of the 2^n sign
+    patterns of n points in general position in R^d, C(n, d) =
+    2 sum_{k<d} C(n-1, k) are split by a hyperplane through the origin."""
+    return 2 * sum(math.comb(n - 1, k) for k in range(d)) / 2 ** n
+
+
+@pytest.mark.parametrize("d", [8, 16])
+def test_decide_matches_covers_counting_theorem(d):
+    """Gaussian U with uniform random bits: the fraction that decide finds
+    feasible lies in the binomial interval around Cover's probability."""
+    trials = 200
+    for n in range(d, 3 * d + 1, d // 2):
+        rng = rng_for("cover", d, n)
+        feasible = 0
+        for _ in range(trials):
+            se = random_instance(rng, m=d, cols=n)
+            report = decide(se)
+            assert report.status != "unknown" and verify_certificate(se, report), (d, n)
+            feasible += report.status == "feasible"
+        low, high = binom.interval(1 - 1e-4, trials, cover_fraction(n, d))
+        assert low <= feasible <= high, (d, n, feasible, (low, high))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_rank_deficient_u_with_bits_sign_z_is_infeasible(seed):
+    """U z = 0 with z != 0: bits t = sign(z) give U~ |z| = 0, Gordan's
+    infeasibility certificate, so decide must certify Infeasible."""
+    rng = rng_for("rank-deficient", seed)
+    for m, n, rank in [(24, 30, 20), (40, 48, 40), (16, 64, 16), (64, 80, 48)]:
+        u = rng.normal(size=(m, rank)) @ rng.normal(size=(rank, n))
+        z = np.linalg.svd(u)[2][-1]
+        se = StackedExtractors(u, u * np.sign(z), 1)
+        assert not check_conditions(se)[0]
+        report = decide(se)
+        assert report.status == "infeasible" and verify_certificate(se, report), (m, n, rank)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_full_column_rank_u_is_feasible_for_random_bits(seed):
+    rng = rng_for("full-rank", seed)
+    for m, n in [(24, 24), (40, 30), (64, 48), (96, 96)]:
+        se = random_instance(rng, m=m, cols=n)
+        assert check_conditions(se)[0]
+        report = decide(se)
+        assert report.status == "feasible" and verify_certificate(se, report), (m, n)
 
 
 # ---------------------------------------------------------------------------

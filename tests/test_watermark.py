@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from fedsign import io
-from fedsign.data import make_synthetic
-from fedsign.errors import CapacityError, FormatError, KeyMismatchError
+from fedsign.data import TriggerSet, make_synthetic
+from fedsign.errors import CapacityError, FormatError, KeyMismatchError, ShapeError
 from fedsign.nn import ModelParams, build_mlp, fit, rng_for
 from fedsign.watermark import (
     WatermarkKey,
@@ -332,6 +332,16 @@ def test_verify_black_chance_level_fails():
     res = verify_black(net, key.triggers, eps_y=0.2)
     assert res.trigger_error >= 0.5
     assert not res.verdict
+
+
+@pytest.mark.parametrize("shape", [(5, 9), (1, 3, 8), (2, 3, 8)])
+def test_verify_black_rejects_samples_that_do_not_fit_the_network(shape):
+    """A one-sample set with an extra axis could read as a stacked batch;
+    the network's forward rejects it like any other misfit."""
+    net = build_mlp(8, [16], 3, seed=0)
+    triggers = TriggerSet(np.zeros(shape), np.zeros(shape[0], dtype=int), "pattern", 3)
+    with pytest.raises(ShapeError):
+        verify_black(net, triggers)
 
 
 # ---------------------------------------------------------------------------
