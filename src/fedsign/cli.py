@@ -6,6 +6,7 @@ configuration error, 3 internal error.
 """
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -188,7 +189,10 @@ def _in_range(kind, low, high, text):
     return parse
 
 
+@functools.cache
 def build_parser():
+    """The fedsign parser, built once per process: it holds no state
+    between `parse_args` calls."""
     p = argparse.ArgumentParser(prog="fedsign",
                                 description="Federated ownership-signature simulator")
     sub = p.add_subparsers(dest="command", required=True)

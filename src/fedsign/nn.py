@@ -19,6 +19,11 @@ padding is masked out of the loss gradient and the batch statistics, so
 every client's update equals the one a network with C = 1 computes alone.
 A network built from layers has C = 1 and takes plain (B, ...) batches;
 `fit`, fine-tuning, evaluation and PGD run on it through the same code.
+
+Every per-channel sum is one GEMV over exactly one client's real rows
+(`kernels.channel_sums`).  The first layer's input gradient is built only
+for callers that read it (`Network.backward`'s `input_grad`: PGD reads it,
+a training step does not).
 """
 
 import copy
@@ -145,12 +150,12 @@ class _Rows:
 
     def __init__(self, counts, width):
         self.counts = counts
-        self.mask = (np.arange(width) < counts[:, None]).astype(np.float64)
         # BLAS can round a row of a product differently depending on how many
         # rows the product has (numpy hands one row to gemv, OpenBLAS rounds
         # a partial block of four rows apart and picks kernels by size), so
-        # the dense layers multiply each run of consecutive clients with the
-        # same short count again on exactly those rows, as a lone client would
+        # the dense layers multiply, and ScaleNorm sums, each run of
+        # consecutive clients with the same short count again on exactly
+        # those rows, as a lone client would
         self.short = []
         n = counts.tolist()
         start = 0
@@ -159,10 +164,6 @@ class _Rows:
                 if n[start] < width:
                     self.short.append((slice(start, i), n[start]))
                 start = i
-
-    def like(self, x):
-        """The row mask, shaped to broadcast over x."""
-        return self.mask.reshape(self.mask.shape + (1,) * (x.ndim - 2))
 
 
 def _pad_rows(parts, width):
@@ -185,7 +186,9 @@ class Layer:
 
     def backward(self, dy):
         """Returns (dx, {role: grad}) for the most recent forward; roles
-        left out have zero gradient."""
+        left out have zero gradient.  A layer that can open a network
+        (Dense, Conv2d) also takes `input_grad`: when it is false, dx is
+        None and is not computed."""
         raise NotImplementedError
 
     def _need_cache(self):
@@ -214,12 +217,14 @@ class Dense(Layer):
             y[run, :n] = flat[run, :n] @ w[run] + self.b[run, None]
         return y
 
-    def backward(self, dy):
+    def backward(self, dy, input_grad=True):
         self._need_cache()
         flat, shape, short = self._cache
-        w = self.w[:len(dy)]
         dw = flat.transpose(0, 2, 1) @ dy
         db = dy.sum(axis=1)
+        if not input_grad:
+            return None, {"kernel": dw, "bias": db}
+        w = self.w[:len(dy)]
         dx = dy @ w.transpose(0, 2, 1)
         for run, n in short:
             dx[run, :n] = dy[run, :n] @ w[run].transpose(0, 2, 1)
@@ -229,7 +234,8 @@ class Dense(Layer):
 class Conv2d(Layer):
     """The kernels convolve one client's images at a time, on its real rows
     only: each call has exactly the shapes of a lone client's, so a stacked
-    batch costs one kernel call per client."""
+    batch costs one kernel call per client.  The forward's im2col matrices
+    are kept for the backward."""
 
     kind = "conv2d"
     ROLES = {"kernel": "w", "bias": "b"}
@@ -244,16 +250,20 @@ class Conv2d(Layer):
         if x.ndim != 5 or x.shape[4] != self.w.shape[3]:
             raise ShapeError(f"conv2d expects NHWC input with {self.w.shape[3]} channels")
         counts = [x.shape[1]] * len(x) if rows is None else rows.counts
-        self._cache = (x, counts)
-        return _pad_rows([kernels.conv2d_forward(x[c, :n], self.w[c], self.b[c])
-                          for c, n in enumerate(counts)], x.shape[1])
+        parts = [x[c, :n] for c, n in enumerate(counts)]
+        cols = [kernels.im2col(part, self.w.shape[1]) for part in parts]
+        self._cache = (parts, cols, x.shape[1])
+        return _pad_rows([kernels.conv2d_forward(part, self.w[c], self.b[c], cols[c])
+                          for c, part in enumerate(parts)], x.shape[1])
 
-    def backward(self, dy):
+    def backward(self, dy, input_grad=True):
         self._need_cache()
-        x, counts = self._cache
-        dx, dw, db = zip(*(kernels.conv2d_backward(x[c, :n], self.w[c], dy[c, :n])
-                           for c, n in enumerate(counts)))
-        return _pad_rows(dx, x.shape[1]), {"kernel": np.stack(dw), "bias": np.stack(db)}
+        parts, cols, width = self._cache
+        dx, dw, db = zip(*(kernels.conv2d_backward(part, self.w[c], dy[c, :len(part)],
+                                                   cols[c], input_grad)
+                           for c, part in enumerate(parts)))
+        grads = {"kernel": np.stack(dw), "bias": np.stack(db)}
+        return (_pad_rows(dx, width) if input_grad else None), grads
 
 
 class ScaleNorm(Layer):
@@ -262,7 +272,9 @@ class ScaleNorm(Layer):
     Training mode standardizes each client's batch with its own statistics
     (reduced over its real rows and every axis but the channel axis) and
     updates that client's running statistics; eval mode uses the running
-    statistics.  gamma starts at 1, beta at 0.
+    statistics.  gamma starts at 1, beta at 0.  Padding rows of a stacked
+    batch are left out of every sum, carry an output that nothing reads,
+    and get a zero input gradient.
     """
 
     kind = "scale-norm"
@@ -278,53 +290,58 @@ class ScaleNorm(Layer):
         self.running_var = np.ones((1, channels))
         self._cache = None
 
+    @staticmethod
+    def _sums(x, short):
+        """Per-client channel sums (A, C) of x (A, B, ..., C): one GEMV per
+        client over all its rows, then one per short run over its real rows."""
+        a, c = x.shape[0], x.shape[-1]
+        s = kernels.channel_sums(x.reshape(a, -1, c))
+        for run, n in short:
+            s[run] = kernels.channel_sums(x[run, :n].reshape(run.stop - run.start, -1, c))
+        return s
+
     def forward(self, x, train, rows=None):
         if x.shape[-1] != self.gamma.shape[-1]:
             raise ShapeError(f"scale-norm expects {self.gamma.shape[-1]} channels, "
                              f"got {x.shape[-1]}")
-        axes = tuple(range(1, x.ndim - 1))
-        per_client = (slice(len(x)),) + (None,) * (x.ndim - 2)  # (A, 1, ..., channels)
-        mask = None
+        a = len(x)
+        expand = (slice(None),) + (None,) * (x.ndim - 2)  # (A, C) -> (A, 1, ..., C)
+        short, n = (), None
         if train:
-            # sums over the rows, then divided: numpy's own mean and var
-            if rows is None:
-                n = x.size // (x.shape[0] * x.shape[-1])
-                mu = x.sum(axis=axes, keepdims=True) / n
-                xc = x - mu
-            else:
-                mask = rows.like(x)
-                n = (rows.counts[:, None] * (x[0, 0].size // x.shape[-1]))[per_client]
-                mu = (x * mask).sum(axis=axes, keepdims=True) / n
-                xc = (x - mu) * mask
-            var = (xc * xc).sum(axis=axes, keepdims=True) / n
+            per_row = x[0, 0].size // x.shape[-1]  # values of a channel in one row
+            n = x.shape[1] * per_row
+            if rows is not None:
+                short, n = rows.short, (rows.counts * per_row)[:, None]
+            mu = self._sums(x, short) / n
+            xc = x - mu[expand]
+            var = self._sums(xc * xc, short) / n
             for running, stat in ((self.running_mean, mu), (self.running_var, var)):
-                running = running[:len(x)]
+                running = running[:a]
                 running *= self.MOMENTUM
-                running += (1.0 - self.MOMENTUM) * stat.reshape(running.shape)
+                running += (1.0 - self.MOMENTUM) * stat
         else:
-            n = None
-            var = self.running_var[per_client]
-            xc = x - self.running_mean[per_client]
+            var = self.running_var[:a]
+            xc = x - self.running_mean[:a][expand]
         ivar = 1.0 / np.sqrt(var + self.EPS)
-        xhat = xc * ivar
-        gamma = self.gamma[per_client]
-        self._cache = (xhat, ivar, n, axes, mask, gamma)
-        return gamma * xhat + self.beta[per_client]
+        xhat = xc * ivar[expand]
+        gamma = self.gamma[:a]
+        self._cache = (xhat, gamma * ivar, n, short, expand)
+        return xhat * gamma[expand] + self.beta[:a][expand]
 
     def backward(self, dy):
         self._need_cache()
-        xhat, ivar, n, axes, mask, gamma = self._cache
-        dgamma = (dy * xhat).sum(axis=axes)
-        dbeta = dy.sum(axis=axes)
-        dxhat = dy * gamma
+        xhat, scale, n, short, expand = self._cache
+        dbeta = self._sums(dy, short)
+        dgamma = self._sums(dy * xhat, short)
         if n is None:
-            dx = dxhat * ivar
+            dx = dy * scale[expand]
         else:
-            dx = (ivar / n) * (n * dxhat
-                               - dxhat.sum(axis=axes, keepdims=True)
-                               - xhat * (dxhat * xhat).sum(axis=axes, keepdims=True))
-            if mask is not None:
-                dx *= mask
+            # dx = gamma * ivar * (dy - dbeta / n - xhat * dgamma / n)
+            dx = dy - (dbeta / n)[expand]
+            dx -= xhat * (dgamma / n)[expand]
+            dx *= scale[expand]
+            for run, k in short:
+                dx[run, k:] = 0.0
         return dx, {"scale": dgamma, "bias": dbeta}
 
 
@@ -434,12 +451,14 @@ class Network:
         self._forward_done = True
         return x[0] if self._single else x
 
-    def backward(self, dlogits):
+    def backward(self, dlogits, input_grad=True):
         """Gradients w.r.t. every parameter for the most recent forward, one
         row per client of a stacked forward.
 
-        Also stores the gradient w.r.t. the network input in ``input_grad``
-        (used by gradient-based input attacks).
+        With `input_grad` (the default) it also stores the gradient w.r.t.
+        the network input in ``input_grad``, for gradient-based input
+        attacks; without it the first layer skips that product and
+        ``input_grad`` is None.
         """
         if not self._forward_done:
             raise StateError("backward called before forward")
@@ -447,11 +466,12 @@ class Network:
         dy = dlogits[None] if self._single else dlogits
         grads = np.zeros((len(dy), layout.size))
         for idx in range(len(self.layers) - 1, -1, -1):
-            dy, layer_grads = self.layers[idx].backward(dy)
+            layer = self.layers[idx]
+            dy, layer_grads = layer.backward(dy) if idx else layer.backward(dy, input_grad)
             for role, g in layer_grads.items():
                 grads[:, layout.slices[(idx, role)]] = g.reshape(len(g), -1)
         if self._single:
-            dy, grads = dy[0], grads[0]
+            dy, grads = (None if dy is None else dy[0]), grads[0]
         self.input_grad = dy
         return ModelParams.wrap(layout, grads)
 
@@ -659,7 +679,7 @@ def sgd_epochs(net, inputs, labels, epochs, lr, momentum, batch, stream,
         dlogits /= div[s, :a, :r, None]
         if padded[s] or poisoned:
             dlogits *= mul[s, :a, :r, None]
-        grads = net.backward(dlogits)
+        grads = net.backward(dlogits, input_grad=False)
         for i, row, fn, key, beta in regs:
             if i < a:
                 feat[s, i] = fn(row, key, grads.vec[i], beta)

@@ -266,6 +266,30 @@ def test_keyfile_extractor_misfit_is_input_error(tmp_path, capsys, fields):
     assert "keyfile" in capsys.readouterr().err
 
 
+def test_repeated_calls_in_one_process_print_the_same(trained, tmp_path, capsys):
+    # the parser is built once per process; every later call must behave as
+    # the first did, a bad argument included
+    _, out = trained
+    keys = [str(tmp_path / f"c{cid}.key") for cid in range(2)]
+    for cid, path in enumerate(keys):
+        save_key(keygen(build_mlp(32, [16, 16], 3, seed=0), cid, 8, 0, "scale", seed=5), path)
+    ckpt, own = str(out / "checkpoint.bin"), str(out / "client_0.key")
+
+    def bad_radius():
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", ckpt, own, "--eps-h", "-1"])
+        return exc.value.code
+
+    calls = [lambda: main(["verify", ckpt, own]), bad_radius,
+             lambda: main(["feasibility", *keys])]
+    first = []
+    for call in calls:
+        first.append((call(), capsys.readouterr()))
+    assert [code for code, _ in first] == [EXIT_OK, EXIT_INPUT, EXIT_OK]
+    for call, want in zip(calls, first):
+        assert (call(), capsys.readouterr()) == want
+
+
 # ---------------------------------------------------------------------------
 # feasibility
 

@@ -13,6 +13,7 @@ from fedsign.nn import (
     Network,
     Relu,
     ScaleNorm,
+    _Rows,
     SgdMomentum,
     accuracy,
     build_cnn,
@@ -137,6 +138,76 @@ def test_cnn_input_grad_matches_finite_differences():
         x.flat[flat] = orig
         fd = (up - dn) / (2 * h)
         assert abs(grad.flat[flat] - fd) <= 1e-4 * max(abs(fd), 1e-3), flat
+
+
+def _with_rows(layer, tensors, rows):
+    for attr, t in tensors.items():
+        setattr(layer, attr, t[rows].copy())
+    return layer
+
+
+@pytest.mark.parametrize("spatial", [(), (4, 4)], ids=["mlp", "cnn"])
+def test_ragged_scale_norm_matches_lone_calls_bitwise(spatial):
+    # clients with 5, 5, 7, 3 and 8 real rows of 8; padding holds junk that
+    # no statistic, output row or gradient of a real row may read.  A sum of
+    # 7 rows rounds differently from one of 8 rows whose last is zero, so a
+    # GEMV over zero-padded rows fails here.
+    rng = rng_for("ragged-norm", len(spatial))
+    counts, ch = np.array([5, 5, 7, 3, 8]), 8
+    a = len(counts)
+    tensors = {"gamma": rng.normal(size=(a, ch)), "beta": rng.normal(size=(a, ch)),
+               "running_mean": rng.normal(size=(a, ch)),
+               "running_var": rng.uniform(0.5, 2.0, size=(a, ch))}
+    x = 3.0 + rng.normal(size=(a, 8) + spatial + (ch,))
+    dy = rng.normal(size=x.shape)
+    stacked = _with_rows(ScaleNorm(ch), tensors, slice(None))
+    y = stacked.forward(x, True, _Rows(counts, 8))
+    dx, grads = stacked.backward(dy)
+    for c, n in enumerate(counts):
+        lone = _with_rows(ScaleNorm(ch), tensors, slice(c, c + 1))
+        y1 = lone.forward(x[c:c + 1, :n], True)
+        dx1, grads1 = lone.backward(dy[c:c + 1, :n])
+        np.testing.assert_array_equal(y[c, :n], y1[0])
+        np.testing.assert_array_equal(dx[c, :n], dx1[0])
+        assert not dx[c, n:].any()
+        for attr in ("running_mean", "running_var"):
+            np.testing.assert_array_equal(getattr(stacked, attr)[c], getattr(lone, attr)[0])
+        for role in ("scale", "bias"):
+            np.testing.assert_array_equal(grads[role][c], grads1[role][0])
+
+
+def test_ragged_conv_gradients_match_lone_calls_bitwise():
+    rng = rng_for("ragged-conv")
+    counts = np.array([5, 3, 8])
+    tensors = {"w": rng.normal(size=(3, 3, 3, 2, 8)), "b": rng.normal(size=(3, 8))}
+    x = rng.normal(size=(3, 8, 4, 4, 2))
+    dy = rng.normal(size=(3, 8, 4, 4, 8))
+    stacked = _with_rows(Conv2d(2, 8, 3, rng), tensors, slice(None))
+    stacked.forward(x, True, _Rows(counts, 8))
+    _, grads = stacked.backward(dy)
+    for c, n in enumerate(counts):
+        lone = _with_rows(Conv2d(2, 8, 3, rng), tensors, slice(c, c + 1))
+        lone.forward(x[c:c + 1, :n], True)
+        _, grads1 = lone.backward(dy[c:c + 1, :n])
+        for role in ("kernel", "bias"):
+            np.testing.assert_array_equal(grads[role][c], grads1[role][0])
+
+
+@pytest.mark.parametrize("net", [build_mlp(6, [8, 5], 3, seed=18),
+                                 build_cnn(8, 1, [3, 4], 3, seed=18)], ids=["mlp", "cnn"])
+@pytest.mark.parametrize("rows", [None, [5, 3]], ids=["one-client", "ragged"])
+def test_training_gradients_do_not_depend_on_the_input_gradient(net, rows):
+    rng = rng_for("no-input-grad")
+    stack = net if rows is None else net.stacked(2)
+    x = rng.normal(size=((5,) if rows is None else (2, 5)) + net.input_shape)
+    d = rng.normal(size=x.shape[:-len(net.input_shape)] + (3,))
+    stack.forward(x, train=True, rows=rows)
+    with_dx = stack.backward(d).vec
+    assert stack.input_grad.shape == x.shape
+    stack.forward(x, train=True, rows=rows)
+    without = stack.backward(d, input_grad=False).vec
+    assert stack.input_grad is None
+    np.testing.assert_array_equal(with_dx, without)
 
 
 # ---------------------------------------------------------------------------
