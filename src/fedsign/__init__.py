@@ -4,7 +4,7 @@ attacks."""
 
 from .data import Dataset, Shard, TriggerSet, forge_pattern_triggers, forge_pgd_triggers, make_synthetic, split
 from .errors import CapacityError, ConfigError, FedsignError, FormatError, KeyMismatchError, ShapeError, StateError
-from .feasibility import FeasibilityReport, StackedExtractors, capacity_bound, check_conditions, decide, stack
+from .feasibility import FeasibilityReport, capacity_bound, check_conditions, decide, stack
 from .federation import ClientState, FedConfig, RoundLog, WatermarkSpec, add_dp_noise, aggregate, client_update, run_federation, sample_clients, setup_clients
 from .manifest import RunManifest, load_manifest, parse_manifest
 from .metrics import ExperimentSummary, false_positive_analysis, run_sweep

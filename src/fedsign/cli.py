@@ -82,9 +82,9 @@ def cmd_verify(args):
 
 def cmd_feasibility(args):
     keys = [load_key(path) for path in args.keyfiles]
-    se = stack(keys)
-    report = decide(se)
-    print(f"{se.n_keys} key(s), {se.n_cols} total bits, pool size {se.u.shape[0]}")
+    ut = stack(keys)
+    report = decide(ut)
+    print(f"{len(keys)} key(s), {ut.shape[1]} total bits, pool size {ut.shape[0]}")
     print(report.summary())
     if args.csv:
         io.write_csv(args.csv, ("cond_rank", "cond_positive_row", "cond_gram_positive",
@@ -92,7 +92,7 @@ def cmd_feasibility(args):
                                 "iterations", "min_norm"),
                      [(int(report.cond_rank), int(report.cond_positive_row),
                        int(report.cond_gram_positive), report.status, report.margin,
-                       report.nnls_residual, se.n_keys, se.n_cols, report.iterations,
+                       report.nnls_residual, len(keys), ut.shape[1], report.iterations,
                        report.min_norm)])
     return EXIT_VERIFY_FAILED if report.status == "infeasible" else EXIT_OK
 

@@ -1,10 +1,9 @@
 """Multi-client signature feasibility.
 
-Clients' extraction matrices stack into U (columns = all extraction
-directions) and a signed variant U~ whose column (k, j) carries client
-k's bit j as its sign.  A common parameter vector embeds every signature
-strictly iff W^T U~ > 0 has a solution, and by Gordan's alternative
-exactly one of the following holds:
+Clients' extraction matrices stack into U~, whose column (k, j) is client
+k's extraction direction j times its bit j.  A common parameter vector
+embeds every signature strictly iff W^T U~ > 0 has a solution, and by
+Gordan's alternative exactly one of the following holds:
 
 * some W satisfies W^T U~ > 0          (feasibility certificate W), or
 * some y >= 0, y != 0 has U~ y = 0     (infeasibility certificate y).
@@ -20,8 +19,8 @@ BORDER_TERMS of them into the inverse; one refinement step against the
 kept lifted Gram stands in for a per-cycle solve.
 
 Three sufficient conditions guarantee the feasible branch: full column
-rank of U (from its singular values; no SVD when U is wider than tall),
-an all-positive row of U~, or an entrywise-positive Gram matrix of U~.
+rank of U~ (sign flips keep the unsigned stack's rank; no SVD when U~ is
+wider than tall), an all-positive row, or an entrywise-positive Gram.
 """
 
 from dataclasses import dataclass
@@ -35,17 +34,6 @@ RANK_TOL = 1e-10
 STRICT_FLOOR = 1e-9
 WOLFE_TOL = 1e-12
 BORDER_TERMS = 16  # rank-one borders kept pending before one GEMM folds them
-
-
-@dataclass
-class StackedExtractors:
-    u: np.ndarray        # M x (total bits)
-    u_tilde: np.ndarray  # signed columns
-    n_keys: int
-
-    @property
-    def n_cols(self):
-        return self.u.shape[1]
 
 
 @dataclass
@@ -77,8 +65,8 @@ class FeasibilityReport:
 # stacking
 
 def stack(keys):
-    """Column-stack all clients' extraction matrices (client ascending,
-    bit ascending) and apply bit signs for the signed variant."""
+    """U~ (M x total bits): the extraction matrices column-stacked, client
+    ascending and bit ascending, each column times its bit."""
     keys = sorted(keys, key=lambda k: k.client_id)
     if not keys:
         raise KeyMismatchError("no keys to stack")
@@ -87,10 +75,9 @@ def stack(keys):
     for key in keys[1:]:
         if key.selector != selector or key.pool_size != pool:
             raise KeyMismatchError("keys use different parameter selectors")
-    cols = [key.dense() for key in keys]
-    u = np.concatenate(cols, axis=1)
-    signs = np.concatenate([key.bits.astype(np.float64) for key in keys])
-    return StackedExtractors(u, u * signs, len(keys))
+    ut = np.concatenate([key.dense() for key in keys], axis=1)  # a new buffer
+    ut *= np.concatenate([key.bits for key in keys])
+    return ut
 
 
 # ---------------------------------------------------------------------------
@@ -102,14 +89,14 @@ def numerical_rank(a, rel_tol=RANK_TOL):
     return int((s > rel_tol * s[0]).sum()) if s.size and s[0] > 0 else 0
 
 
-def check_conditions(se, gram=None):
-    """The three sufficient conditions, in order: rank(U) equals the column
+def check_conditions(ut, gram):
+    """The three sufficient conditions, in order: rank(U~) equals the column
     count, some row of U~ is strictly positive, the Gram matrix of U~ is
-    strictly positive entrywise.  `gram` may pass in U~^T U~, or the Gram
-    matrix of the columns of U~ scaled to unit length, which has its signs."""
-    cond_rank = len(se.u) >= se.n_cols and numerical_rank(se.u) == se.n_cols
-    cond_row = bool((se.u_tilde > 0).all(axis=1).any())
-    gram = se.u_tilde.T @ se.u_tilde if gram is None else gram
+    strictly positive entrywise.  `gram` is U~^T U~, or the Gram matrix of
+    the columns of U~ scaled to unit length, which has its signs."""
+    m, n = ut.shape
+    cond_rank = m >= n and numerical_rank(ut) == n
+    cond_row = bool((ut > 0).all(axis=1).any())
     return cond_rank, cond_row, bool((gram > 0).all())
 
 
@@ -202,7 +189,7 @@ def _min_norm_point(gram, dim, tol=WOLFE_TOL):
         last = norm2
 
 
-def decide(se):
+def decide(ut):
     """Gordan's alternative with a certificate either way.  The columns of
     U~ are scaled to unit length first and their one Gram matrix serves
     both the conditions (its signs are those of U~^T U~) and the search.
@@ -210,12 +197,11 @@ def decide(se):
     worst margin 1; for p = 0 the convex weights of the unit columns,
     divided by the column norms and renormalised, are y.  Unknown only when
     neither verifies."""
-    ut = se.u_tilde
     norms = np.sqrt(np.einsum("ij,ij->j", ut, ut))
     unit = ut / np.where(norms > 0, norms, 1.0)  # a zero column stays zero
     gram = unit.T @ unit
-    conds = check_conditions(se, gram)
-    y, iterations = np.zeros(se.n_cols), 0
+    conds = check_conditions(ut, gram)
+    y, iterations = np.zeros(ut.shape[1]), 0
     if (norms == 0).any():  # a zero column is its own infeasibility certificate
         y[np.argmin(norms)] = 1.0
     else:
@@ -232,18 +218,18 @@ def decide(se):
         feasible = FeasibilityReport(*conds, "feasible", w=w, margin=float((w @ ut).min()), **stats)
         # |p|^2 above the stopping tolerance guarantees positive margins: W first
         reports.insert(0 if stats["min_norm"] ** 2 > WOLFE_TOL else 1, feasible)
-    return next((report for report in reports if verify_certificate(se, report)),
+    return next((report for report in reports if verify_certificate(ut, report)),
                 FeasibilityReport(*conds, "unknown", **stats))
 
 
-def verify_certificate(se, report):
+def verify_certificate(ut, report):
     """Independent re-check of whichever certificate the report carries."""
     if report.status == "feasible":
-        return bool((report.w @ se.u_tilde > STRICT_FLOOR).all())
+        return bool((report.w @ ut > STRICT_FLOOR).all())
     if report.status == "infeasible":
         y = report.y
-        bound = STRICT_FLOOR * max(np.abs(se.u_tilde).max(), 1.0) * y.sum()
-        return bool((y >= 0).all() and y.sum() > 0 and np.abs(se.u_tilde @ y).max() <= bound)
+        bound = STRICT_FLOOR * max(np.abs(ut).max(), 1.0) * y.sum()
+        return bool((y >= 0).all() and y.sum() > 0 and np.abs(ut @ y).max() <= bound)
     return False
 
 

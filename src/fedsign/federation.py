@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import Dataset, Shard
+from .data import Dataset
 from .errors import ConfigError, StateError
 from .io import write_csv
 from .nn import TRAINABLE_ROLES, ModelParams, accuracy, rng_for, sgd_epochs
@@ -42,12 +42,9 @@ class WatermarkSpec:
 @dataclass
 class ClientState:
     client_id: int
-    shard: Shard
     data: Dataset
     key: Optional[WatermarkKey] = None
-    alpha: float = 0.0
-    beta: float = 0.0
-    loss_kind: str = "hinge"
+    spec: WatermarkSpec = field(default_factory=WatermarkSpec)  # the default embeds nothing
 
     @property
     def n_samples(self):
@@ -124,9 +121,9 @@ def client_update(net, states, global_params, cfg, round_index=0):
     decomposition.
     """
     for state in states:
-        if state.beta > 0 and state.key is None:
+        if state.spec.beta > 0 and state.key is None:
             raise ConfigError(f"client {state.client_id}: beta > 0 but no watermark key")
-        if state.alpha > 0 and (state.key is None or state.key.triggers is None):
+        if state.spec.alpha > 0 and (state.key is None or state.key.triggers is None):
             raise ConfigError(f"client {state.client_id}: alpha > 0 but no trigger set")
     terms = ("main", "trigger", "feature")
     if cfg.local_epochs == 0:
@@ -137,12 +134,12 @@ def client_update(net, states, global_params, cfg, round_index=0):
     triggers, regs = [], []
     for state in states:
         trig = reg = None
-        if state.alpha > 0:
+        if state.spec.alpha > 0:
             t = state.key.triggers
-            trig = (t.samples, t.target_labels, state.alpha, cfg.backdoor_batch,
+            trig = (t.samples, t.target_labels, state.spec.alpha, cfg.backdoor_batch,
                     rng_for(cfg.seed, "trigger-batches", round_index, state.client_id))
-        if state.beta > 0:
-            reg = (_reg_for(state.loss_kind), state.key, state.beta)
+        if state.spec.beta > 0:
+            reg = (_reg_for(state.spec.loss), state.key, state.spec.beta)
         triggers.append(trig)
         regs.append(reg)
     # the shuffle stream is shared across clients so that identical shards
@@ -200,7 +197,8 @@ def aggregate(updates):
 # orchestration
 
 def setup_clients(ds, shards, net, specs, seed, vanilla=None):
-    """Build per-client state; clients listed in `specs` get keys.
+    """Build per-client state: each client holds its spec from `specs`, or
+    the default one that embeds nothing, and a key if its spec embeds.
 
     Scale-mode keys take consecutive slices of the channel pool in client
     id order, so they are disjoint while their bits fit the pool."""
@@ -212,17 +210,12 @@ def setup_clients(ds, shards, net, specs, seed, vanilla=None):
             total += holders[cid].n_bits
     clients = []
     for shard in shards:
-        spec = holders.get(shard.client_id)
-        key = None
-        alpha = beta = 0.0
-        loss_kind = "hinge"
-        if spec is not None:
+        spec, key = specs.get(shard.client_id, WatermarkSpec()), None
+        if shard.client_id in holders:
             key = keygen(net, shard.client_id, spec.n_bits, spec.n_triggers,
                          spec.mode, seed, dataset=ds, trigger_kind=spec.trigger_kind,
                          vanilla=vanilla, offset=offsets.get(shard.client_id))
-            alpha, beta, loss_kind = spec.alpha, spec.beta, spec.loss
-        clients.append(ClientState(shard.client_id, shard, ds.subset(shard.indices),
-                                   key, alpha, beta, loss_kind))
+        clients.append(ClientState(shard.client_id, ds.subset(shard.indices), key, spec))
     return clients
 
 
@@ -259,10 +252,10 @@ def run_federation(cfg, clients, net, eval_data=None):
         for state in clients:
             if state.key is None:
                 continue
-            if state.beta > 0:
+            if state.spec.beta > 0:
                 log.eta[state.client_id] = verify_white(
                     global_params, state.key).detection_rate
-            if state.alpha > 0 and state.key.triggers is not None:
+            if state.spec.alpha > 0 and state.key.triggers is not None:
                 log.trigger_error[state.client_id] = verify_black(
                     net, state.key.triggers).trigger_error
         logs.append(log)

@@ -13,9 +13,17 @@ from dataclasses import dataclass, field, replace
 from .errors import ConfigError
 from .federation import FedConfig, WatermarkSpec
 
-SWEEP_KINDS = ("fidelity_bits", "fidelity_triggers", "reliability_bits",
-               "reliability_triggers", "dp_sigma", "fraction")
-COUNT_SWEEPS = SWEEP_KINDS[:4]  # their values are bit or trigger counts
+# sweep.kind -> (axis, metrics it reports); the values of the COUNT_SWEEPS
+# are bit or trigger counts, the others' FedConfig rates
+SWEEPS = {
+    "fidelity_bits": ("bits", ("accuracy",)),
+    "fidelity_triggers": ("triggers", ("accuracy",)),
+    "reliability_bits": ("bits", ("eta",)),
+    "reliability_triggers": ("triggers", ("trigger_detection",)),
+    "dp_sigma": ("dp_sigma", ("accuracy", "eta", "trigger_detection")),
+    "fraction": ("fraction", ("accuracy", "eta", "trigger_detection")),
+}
+COUNT_SWEEPS = tuple(kind for kind, (axis, _) in SWEEPS.items() if axis in ("bits", "triggers"))
 
 
 # A rule is (test, text): a value that fails `test` is rejected as "<key>
@@ -62,12 +70,12 @@ _KEYS = {
     "attack.finetune_epochs": (int, True, _at_least(0)),
     "attack.finetune_lr": (float, False, _POSITIVE),
     "attack.seed": (int, False, None),
-    "sweep.kind": (str, False, _one_of(*SWEEP_KINDS)),
+    "sweep.kind": (str, False, _one_of(*SWEEPS)),
     "sweep.values": (float, True, None),
     "sweep.seeds": (int, False, _at_least(1)),
 }
 _FED_KEYS = ("clients", "fraction", "rounds", "local_epochs", "batch", "backdoor_batch",
-             "lr", "momentum", "lr_decay", "dp_sigma", "seed")  # "seed" also sets RunManifest.seed
+             "lr", "momentum", "lr_decay", "dp_sigma")
 
 # embed.<id> field -> (WatermarkSpec attribute, type, rule); the defaults
 # live in WatermarkSpec
@@ -180,7 +188,7 @@ def parse_manifest(text):
     fed_kw = {("n_clients" if k == "clients" else k): v
               for k, v in values.items() if k in _FED_KEYS}
     m = RunManifest(**{k.replace(".", "_"): v for k, v in values.items()
-                       if k not in _FED_KEYS or k == "seed"},
+                       if k not in _FED_KEYS},
                     fed=FedConfig(**fed_kw), embed=embed)
     _validate(m)
     return m
@@ -203,9 +211,13 @@ def _validate(m):
                 m.with_fed(**{m.sweep_kind: v})  # FedConfig range-checks each rate
             except ConfigError as exc:
                 raise ConfigError(f"sweep.values: {exc}") from None
-    for cid in m.embed:
+    for cid, spec in m.embed.items():
         if not 0 <= cid < m.fed.n_clients:
             raise ConfigError(f"embed.{cid}: no such client (clients = {m.fed.n_clients})")
+        if spec.trigger_kind == "pgd" and spec.n_triggers >= 1 and m.data_kind != "images":
+            # on blobs, PGD's bounded path cannot reach the target class
+            raise ConfigError(f"embed.{cid}: trigger_kind = pgd needs data_kind = images, "
+                              f"got data_kind = {m.data_kind}")
 
 
 def load_manifest(path):

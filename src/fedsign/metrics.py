@@ -19,6 +19,7 @@ from .errors import ConfigError
 from .feasibility import capacity_bound
 from .federation import WatermarkSpec
 from .io import write_csv
+from .manifest import COUNT_SWEEPS, SWEEPS
 from .nn import rng_for
 from .runner import make_network, run_once
 
@@ -59,27 +60,16 @@ def summarize_csv(path):
 # ---------------------------------------------------------------------------
 # sweeps
 
-# sweep.kind -> (axis, metrics it reports)
-_SWEEPS = {
-    "fidelity_bits": ("bits", ("accuracy",)),
-    "fidelity_triggers": ("triggers", ("accuracy",)),
-    "reliability_bits": ("bits", ("eta",)),
-    "reliability_triggers": ("triggers", ("trigger_detection",)),
-    "dp_sigma": ("dp_sigma", ("accuracy", "eta", "trigger_detection")),
-    "fraction": ("fraction", ("accuracy", "eta", "trigger_detection")),
-}
-
-
 def _point(m, value):
     """The manifest of one sweep point.  Count kinds give every embedding
     client (the manifest's `embed.<id>` ids) `value` bits or triggers, and
     fidelity's value 0 is plain FedAvg; rate kinds set the fed key."""
     kind = m.sweep_kind
-    if kind in ("dp_sigma", "fraction"):
+    if kind not in COUNT_SWEEPS:
         return m.with_fed(**{kind: float(value)})
     if value == 0:
         return replace(m, embed={})
-    spec = (WatermarkSpec(n_bits=int(value), beta=3.0) if kind.endswith("_bits")
+    spec = (WatermarkSpec(n_bits=int(value), beta=3.0) if SWEEPS[kind][0] == "bits"
             else WatermarkSpec(n_triggers=int(value), alpha=1.0))
     return replace(m, embed={cid: spec for cid in sorted(m.embed)})
 
@@ -99,7 +89,7 @@ def run_sweep(m, seeds):
     A kind reporting one metric names its files `<kind>_*.csv`, the rate
     kinds `<kind>_<metric>_*.csv`.  Fidelity kinds add a zero-payload
     point; reliability_bits marks the capacity bound."""
-    if m.sweep_kind not in _SWEEPS:
+    if m.sweep_kind not in SWEEPS:
         raise ConfigError(f"the manifest sets no sweep to run (sweep.kind = {m.sweep_kind!r})")
     if not m.embed:
         raise ConfigError(f"sweep.kind = {m.sweep_kind} needs embedding clients "
@@ -107,7 +97,7 @@ def run_sweep(m, seeds):
     if m.fed.rounds < 1:
         raise ConfigError(f"sweep.kind = {m.sweep_kind} reads each point's last round: "
                           f"rounds must be >= 1, got {m.fed.rounds}")
-    axis, metrics = _SWEEPS[m.sweep_kind]
+    axis, metrics = SWEEPS[m.sweep_kind]
     capacity = (capacity_bound(make_network(m, m.seed), "scale")
                 if m.sweep_kind == "reliability_bits" else None)
     values = ((0,) if m.sweep_kind.startswith("fidelity") else ()) + m.sweep_values

@@ -1,6 +1,6 @@
 """Assemble and execute one federated run from a manifest."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .data import make_synthetic, split
 from .federation import run_federation, setup_clients
@@ -51,8 +51,7 @@ def run_once(m: RunManifest, seed=None):
             seed=(seed, "vanilla-fit"))
     clients = setup_clients(train, shards, net, m.embed, (seed, "keys"),
                             vanilla=vanilla)
-    cfg_seed = int(rng_for(seed, "fed").integers(0, 2**31))
-    cfg = type(m.fed)(**{**m.fed.__dict__, "seed": cfg_seed})
+    cfg = replace(m.fed, seed=int(rng_for(seed, "fed").integers(0, 2**31)))
     params, logs = run_federation(cfg, clients, net,
                                   eval_data=(test.inputs, test.labels))
     return RunResult(params, logs, net, clients, train, test)

@@ -1,5 +1,6 @@
 import numpy as np
 
+from fedsign.feasibility import check_conditions
 from fedsign.nn import cross_entropy
 
 # ---------------------------------------------------------------------------
@@ -57,13 +58,17 @@ def oracle_infeasible_lp(u_tilde):
 
 
 def random_instance(rng, m=None, cols=None):
-    """Random signed stacking of Gaussian extraction columns."""
-    from fedsign.feasibility import StackedExtractors
+    """A random U~: Gaussian extraction columns times random bit signs."""
     m = m if m is not None else int(rng.integers(3, 7))
     cols = cols if cols is not None else int(rng.integers(2, 7))
     u = rng.normal(size=(m, cols))
     signs = rng.choice([-1.0, 1.0], size=cols)
-    return StackedExtractors(u, u * signs, 1)
+    return u * signs
+
+
+def raw_conditions(ut):
+    """The sufficient conditions of U~, read with its raw Gram U~^T U~."""
+    return check_conditions(ut, ut.T @ ut)
 
 
 def fd_param_grad(net, x, labels, key, flat_idx, h=1e-6):

@@ -12,13 +12,7 @@ import numpy as np
 
 from fedsign.attacks import run_attack_suite
 from fedsign.data import forge_pattern_triggers, make_synthetic
-from fedsign.feasibility import (
-    StackedExtractors,
-    capacity_bound,
-    check_conditions,
-    decide,
-    verify_certificate,
-)
+from fedsign.feasibility import capacity_bound, decide, verify_certificate
 from fedsign.io import load_checkpoint
 from fedsign.manifest import parse_manifest
 from fedsign.metrics import false_positive_analysis
@@ -34,7 +28,8 @@ from fedsign.watermark import (
     verify_black,
 )
 
-from conftest import gradcheck, oracle_feasible_random, oracle_infeasible_lp, pascal_tail, random_instance
+from conftest import (gradcheck, oracle_feasible_random, oracle_infeasible_lp, pascal_tail,
+                      random_instance, raw_conditions)
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -144,16 +139,16 @@ def test_criterion_02_feasibility_oracle_equivalence():
     start = time.time()
     for seed in range(200):
         rng = rng_for("acc-feas", seed)
-        se = random_instance(rng)
-        rep = decide(se)
+        ut = random_instance(rng)
+        rep = decide(ut)
         assert rep.status != "unknown", seed
-        assert verify_certificate(se, rep)
+        assert verify_certificate(ut, rep)
         if rep.status == "feasible":
             assert rep.margin > 1e-9
-            assert oracle_infeasible_lp(se.u_tilde) is None
+            assert oracle_infeasible_lp(ut) is None
         else:
             assert rep.nnls_residual < 1e-9
-            assert oracle_feasible_random(se.u_tilde, rng_for("dirs", seed)) is None
+            assert oracle_feasible_random(ut, rng_for("dirs", seed)) is None
     elapsed = time.time() - start
     assert elapsed < 120
     report(2, f"200 verdicts agree with oracle, none unknown, {elapsed:.1f}s")
@@ -163,11 +158,9 @@ def _cond_rank_only(rng):
     while True:
         cols = int(rng.integers(2, 7))
         m = cols + int(rng.integers(0, 3))
-        u = rng.normal(size=(m, cols))
-        signs = rng.choice([-1.0, 1.0], size=cols)
-        se = StackedExtractors(u, u * signs, 1)
-        if check_conditions(se) == (True, False, False):
-            return se
+        ut = rng.normal(size=(m, cols)) * rng.choice([-1.0, 1.0], size=cols)
+        if raw_conditions(ut) == (True, False, False):
+            return ut
 
 
 def _cond_positive_row_only(rng):
@@ -176,9 +169,8 @@ def _cond_positive_row_only(rng):
         m = int(rng.integers(2, cols))  # m < cols kills the rank condition
         ut = rng.normal(size=(m, cols))
         ut[0] = np.abs(ut[0]) + 0.1
-        se = StackedExtractors(ut, ut, 1)
-        if check_conditions(se) == (False, True, False):
-            return se
+        if raw_conditions(ut) == (False, True, False):
+            return ut
 
 
 def _cond_gram_only(rng):
@@ -191,9 +183,8 @@ def _cond_gram_only(rng):
         for i in range(m):
             if (ut[i] > 0).all():  # deny the positive-row condition
                 ut[i, int(rng.integers(cols))] = -0.01
-        se = StackedExtractors(ut, ut, 1)
-        if check_conditions(se) == (False, False, True):
-            return se
+        if raw_conditions(ut) == (False, False, True):
+            return ut
 
 
 def test_criterion_03_conditions_imply_feasibility():
@@ -201,10 +192,10 @@ def test_criterion_03_conditions_imply_feasibility():
     generators = (_cond_rank_only, _cond_positive_row_only, _cond_gram_only)
     for which, gen in enumerate(generators):
         for i in range(100):
-            se = gen(rng_for("acc-cond", which, i))
-            rep = decide(se)
+            ut = gen(rng_for("acc-cond", which, i))
+            rep = decide(ut)
             assert rep.status == "feasible", (which, i)
-            assert verify_certificate(se, rep)
+            assert verify_certificate(ut, rep)
     elapsed = time.time() - start
     assert elapsed < 120
     report(3, f"3 x 100 single-condition instances all decided feasible, {elapsed:.1f}s")

@@ -94,6 +94,26 @@ def test_train_out_of_range_embed_spec_exits_2(tmp_path, capsys, spec):
     assert not out.exists()
 
 
+PGD_ON_BLOBS = """
+classes = 3
+per_class = 60
+clients = 2
+rounds = 2
+out_dir = {out}
+embed.0 = mode=scale bits=4 beta=1.0 triggers=5 alpha=1.0 trigger_kind=pgd
+"""
+
+
+def test_train_pgd_triggers_on_blobs_exit_2(tmp_path, capsys):
+    """PGD forging does not reach the target class on blobs, so such a
+    manifest is bad input, rejected before anything trains."""
+    manifest, out = write_manifest(tmp_path, PGD_ON_BLOBS)
+    assert main(["train", str(manifest)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "embed.0" in err and "data_kind = images" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -520,7 +540,7 @@ def test_internal_error_exits_3(tmp_path, monkeypatch, capsys):
     path = tmp_path / "k.key"
     save_key(keygen(net, 0, 4, 0, "scale", seed=1), path)
 
-    def broken_decide(se):
+    def broken_decide(ut):
         raise ValueError("shapes do not align")
 
     monkeypatch.setattr(fedsign.cli, "decide", broken_decide)

@@ -9,7 +9,6 @@ from fedsign.errors import KeyMismatchError
 from fedsign.feasibility import (
     BORDER_TERMS,
     WOLFE_TOL,
-    StackedExtractors,
     _min_norm_point,
     capacity_bound,
     check_conditions,
@@ -21,7 +20,7 @@ from fedsign.feasibility import (
 from fedsign.nn import build_cnn, build_mlp, rng_for
 from fedsign.watermark import WatermarkKey, keygen
 
-from conftest import oracle_feasible_random, oracle_infeasible_lp, random_instance
+from conftest import oracle_feasible_random, oracle_infeasible_lp, random_instance, raw_conditions
 
 
 def make_key(client_id, bits, matrix=None, coords=None, pool=None, selector=((0, "scale"),)):
@@ -30,46 +29,40 @@ def make_key(client_id, bits, matrix=None, coords=None, pool=None, selector=((0,
                         coords=coords, matrix=matrix)
 
 
-def direct_se(u_tilde):
-    return StackedExtractors(np.abs(u_tilde), u_tilde, 1)
-
-
 # ---------------------------------------------------------------------------
 # stacking
 
 def test_stack_applies_bit_signs():
     key = make_key(0, [1, -1], matrix=np.eye(2))
-    se = stack([key])
-    np.testing.assert_array_equal(se.u, np.eye(2))
-    np.testing.assert_array_equal(se.u_tilde, [[1.0, 0.0], [0.0, -1.0]])
+    np.testing.assert_array_equal(stack([key]), [[1.0, 0.0], [0.0, -1.0]])
+    np.testing.assert_array_equal(key.matrix, np.eye(2))  # the key is not signed in place
 
 
 def test_stack_positive_bits_equal_u():
     rng = rng_for("stack")
     keys = [make_key(k, [1, 1, 1], matrix=rng.normal(size=(5, 3)), pool=5)
             for k in range(2)]
-    se = stack(keys)
-    np.testing.assert_array_equal(se.u, se.u_tilde)
-    assert se.u.shape == (5, 6)
+    ut = stack(keys)
+    np.testing.assert_array_equal(ut, np.concatenate([key.matrix for key in keys], axis=1))
+    assert ut.shape == (5, 6)
 
 
 def test_stack_matches_elementwise_oracle():
     rng = rng_for("stack-oracle")
     keys = [make_key(k, rng.choice([-1, 1], size=4), matrix=rng.normal(size=(6, 4)), pool=6)
             for k in range(3)]
-    se = stack(keys)
+    ut = stack(keys)
     for k, key in enumerate(keys):
         for j in range(4):
             for i in range(6):
-                assert se.u_tilde[i, 4 * k + j] == key.bits[j] * key.matrix[i, j]
+                assert ut[i, 4 * k + j] == key.bits[j] * key.matrix[i, j]
 
 
 def test_stack_orders_by_client_id():
     rng = rng_for("stack-order")
     a = make_key(1, [1], matrix=rng.normal(size=(3, 1)), pool=3)
     b = make_key(0, [1], matrix=rng.normal(size=(3, 1)), pool=3)
-    se = stack([a, b])
-    np.testing.assert_array_equal(se.u[:, 0], b.matrix[:, 0])
+    np.testing.assert_array_equal(stack([a, b])[:, 0], b.matrix[:, 0])
 
 
 def test_stack_rejects_mixed_selectors():
@@ -81,9 +74,25 @@ def test_stack_rejects_mixed_selectors():
 
 def test_stack_materializes_coordinate_keys():
     key = make_key(0, [1, -1], coords=np.array([2, 0]), pool=4)
-    se = stack([key])
-    np.testing.assert_array_equal(se.u_tilde[:, 0], [0, 0, 1, 0])
-    np.testing.assert_array_equal(se.u_tilde[:, 1], [-1, 0, 0, 0])
+    ut = stack([key])
+    np.testing.assert_array_equal(ut[:, 0], [0, 0, 1, 0])
+    np.testing.assert_array_equal(ut[:, 1], [-1, 0, 0, 0])
+
+
+def test_stack_is_exact_on_mixed_keys_and_leaves_them_unchanged():
+    """Coordinate and matrix keys of one pool, given out of client order:
+    U~ is each key's dense columns times its bits, and no key's matrix is
+    signed in place (dense() returns the matrix itself)."""
+    rng = rng_for("stack-mixed")
+    keys = [make_key(2, rng.choice([-1, 1], size=3), matrix=rng.normal(size=(6, 3)), pool=6),
+            make_key(0, rng.choice([-1, 1], size=2), coords=np.array([5, 1]), pool=6),
+            make_key(1, rng.choice([-1, 1], size=4), matrix=rng.normal(size=(6, 4)), pool=6)]
+    before = [key.dense().copy() for key in keys]
+    ut = stack(keys)
+    ordered = sorted(keys, key=lambda k: k.client_id)
+    assert np.array_equal(ut, np.concatenate([k.dense() * k.bits for k in ordered], axis=1))
+    for key, dense in zip(keys, before):
+        assert np.array_equal(key.dense(), dense)
 
 
 # ---------------------------------------------------------------------------
@@ -108,36 +117,39 @@ def test_numerical_rank_matches_numpy_on_random(seed=0):
 
 
 def test_conditions_accept_a_precomputed_gram():
-    se = random_instance(rng_for("gram-share"), m=5, cols=7)
-    assert check_conditions(se, se.u_tilde.T @ se.u_tilde) == check_conditions(se)
+    """The raw Gram U~^T U~ and the Gram of U~'s unit columns give the same
+    conditions."""
+    for seed in range(20):
+        ut = random_instance(rng_for("gram-share", seed), m=5, cols=7)
+        assert check_conditions(ut, ut.T @ ut) == check_conditions(ut, unit_gram(ut)), seed
 
 
 def test_conditions_identity():
-    se = direct_se(np.eye(3))
-    assert check_conditions(se) == (True, False, False)
+    assert raw_conditions(np.eye(3)) == (True, False, False)
 
 
 def test_conditions_all_ones():
-    se = direct_se(np.ones((4, 2)))
-    assert check_conditions(se) == (False, True, True)
+    assert raw_conditions(np.ones((4, 2))) == (False, True, True)
 
 
 def test_conditions_skip_the_svd_when_u_is_wide(monkeypatch):
     def no_svd(a, rel_tol=None):
-        raise AssertionError("numerical_rank called on a wide U")
-    se = direct_se(np.eye(3, 5))  # rank 3 < 5 columns
+        raise AssertionError("numerical_rank called on a wide U~")
     monkeypatch.setattr(feasibility, "numerical_rank", no_svd)
-    assert check_conditions(se) == (False, False, False)
+    assert raw_conditions(np.eye(3, 5)) == (False, False, False)  # rank 3 < 5 columns
 
 
 def test_condition_rank_equals_full_column_rank_on_wide_and_tall():
+    """The rank condition, read from U~, is the full column rank of the
+    unsigned U."""
     for seed in range(60):
         rng = rng_for("cond-rank-shape", seed)
         m, cols = (int(v) for v in rng.integers(1, 9, size=2))
-        se = random_instance(rng, m=m, cols=cols)
+        u = rng.normal(size=(m, cols))
         if seed % 3 == 0:  # a repeated column drops the rank of a tall U
-            se.u[:, -1] = se.u[:, 0]
-        assert check_conditions(se)[0] == (numerical_rank(se.u) == cols), seed
+            u[:, -1] = u[:, 0]
+        ut = u * rng.choice([-1.0, 1.0], size=cols)
+        assert raw_conditions(ut)[0] == (numerical_rank(u) == cols), seed
 
 
 def test_condition_rank_holds_for_random_tall_matrices():
@@ -145,33 +157,32 @@ def test_condition_rank_holds_for_random_tall_matrices():
         rng = rng_for("cond1-mc", seed)
         cols = int(rng.integers(2, 7))
         m = cols + int(rng.integers(0, 4))
-        se = random_instance(rng, m=m, cols=cols)
-        assert check_conditions(se)[0]
+        assert raw_conditions(random_instance(rng, m=m, cols=cols))[0]
 
 
 # ---------------------------------------------------------------------------
 # decide
 
 def test_decide_orthonormal_columns_feasible():
-    se = direct_se(np.eye(4))
-    report = decide(se)
+    ut = np.eye(4)
+    report = decide(ut)
     assert report.status == "feasible"
-    assert verify_certificate(se, report)
-    assert (report.w @ se.u_tilde).min() > 1e-9
+    assert verify_certificate(ut, report)
+    assert (report.w @ ut).min() > 1e-9
 
 
 def test_decide_opposite_columns_infeasible():
     c = np.array([[1.0], [2.0], [-0.5]])
-    se = direct_se(np.hstack([c, -c]))
-    report = decide(se)
+    ut = np.hstack([c, -c])
+    report = decide(ut)
     assert report.status == "infeasible"
-    assert verify_certificate(se, report)
+    assert verify_certificate(ut, report)
     np.testing.assert_allclose(report.y, [0.5, 0.5], atol=1e-6)
 
 
 def test_decide_zero_column_infeasible():
     ut = np.array([[1.0, 0.0], [0.0, 0.0]])
-    report = decide(direct_se(ut))
+    report = decide(ut)
     assert report.status == "infeasible"
     assert report.y[1] == 1.0
 
@@ -179,14 +190,14 @@ def test_decide_zero_column_infeasible():
 def test_decide_matches_oracles_on_random_instances():
     for seed in range(40):
         rng = rng_for("decide-mc", seed)
-        se = random_instance(rng)
-        report = decide(se)
+        ut = random_instance(rng)
+        report = decide(ut)
         assert report.status != "unknown", seed
-        assert verify_certificate(se, report)
+        assert verify_certificate(ut, report)
         if report.status == "feasible":
-            assert oracle_infeasible_lp(se.u_tilde) is None
+            assert oracle_infeasible_lp(ut) is None
         else:
-            assert oracle_feasible_random(se.u_tilde, rng_for("dirs", seed)) is None
+            assert oracle_feasible_random(ut, rng_for("dirs", seed)) is None
 
 
 @pytest.mark.parametrize("seed", [1, 24])  # seed 1 is feasible, seed 24 infeasible
@@ -195,21 +206,21 @@ def test_decide_near_threshold_kernel_keys(seed):
     separability threshold; both branches must still come with a
     verified certificate that agrees with the LP."""
     net = build_mlp(32, [16, 16], 4, seed=0)
-    se = stack([keygen(net, k, 40, 0, "kernel", seed=seed) for k in range(12)])
-    assert se.u.shape == (256, 480)
-    report = decide(se)
-    expected = "infeasible" if oracle_infeasible_lp(se.u_tilde) is not None else "feasible"
+    ut = stack([keygen(net, k, 40, 0, "kernel", seed=seed) for k in range(12)])
+    assert ut.shape == (256, 480)
+    report = decide(ut)
+    expected = "infeasible" if oracle_infeasible_lp(ut) is not None else "feasible"
     assert report.status == expected
-    assert verify_certificate(se, report)
+    assert verify_certificate(ut, report)
 
 
 def test_report_carries_iterations_and_min_norm():
-    feasible = decide(direct_se(np.eye(3)))
+    feasible = decide(np.eye(3))
     assert feasible.status == "feasible"
     assert feasible.iterations >= 3  # one major cycle per entering column
     assert feasible.min_norm == pytest.approx(1 / np.sqrt(3))
     c = np.array([[1.0], [2.0], [-0.5]])
-    infeasible = decide(direct_se(np.hstack([c, -c])))
+    infeasible = decide(np.hstack([c, -c]))
     assert infeasible.status == "infeasible"
     assert infeasible.iterations >= 1
     assert infeasible.min_norm < 1e-12
@@ -220,26 +231,23 @@ def test_report_carries_iterations_and_min_norm():
 def test_decide_invariant_to_column_permutation():
     for seed in range(10):
         rng = rng_for("perm", seed)
-        se = random_instance(rng)
-        perm = rng.permutation(se.n_cols)
-        permuted = StackedExtractors(se.u[:, perm], se.u_tilde[:, perm], se.n_keys)
-        assert decide(se).status == decide(permuted).status
+        ut = random_instance(rng)
+        perm = rng.permutation(ut.shape[1])
+        assert decide(ut).status == decide(ut[:, perm]).status
 
 
 def test_any_condition_implies_feasible():
     for seed in range(25):
         rng = rng_for("cond-feasible", seed)
-        se = random_instance(rng, m=6, cols=4)  # full rank w.p. 1
-        conds = check_conditions(se)
-        assert conds[0]
-        report = decide(se)
+        ut = random_instance(rng, m=6, cols=4)  # full rank w.p. 1
+        assert raw_conditions(ut)[0]
+        report = decide(ut)
         assert report.status == "feasible"
-        assert verify_certificate(se, report)
+        assert verify_certificate(ut, report)
 
 
 def test_report_summary_renders():
-    se = direct_se(np.eye(2))
-    r = decide(se)
+    r = decide(np.eye(2))
     assert "Feasible" in r.summary()
     assert "rank=Y" in r.summary()
 
@@ -296,12 +304,12 @@ def unit_gram(u_tilde):
     return gram / np.outer(norms, norms)
 
 
-def assert_decide_matches_reference(se, monkeypatch):
-    report = decide(se)
+def assert_decide_matches_reference(ut, monkeypatch):
+    report = decide(ut)
     with monkeypatch.context() as m:
         m.setattr(feasibility, "_min_norm_point",
                   lambda gram, dim: reference_min_norm_point(gram))
-        assert report.status == decide(se).status
+        assert report.status == decide(ut).status
     return report
 
 
@@ -319,31 +327,31 @@ def degenerate_instance(rng, m=None, cols=None):
         elif kind == 3:
             ut[:, c] = 0.0
             ut[int(rng.integers(m)), c] = rng.choice([-1.0, 1.0])
-    return direct_se(ut)
+    return ut
 
 
 def test_min_norm_point_matches_reference_on_random_instances(monkeypatch):
     for seed in range(40):
-        se = random_instance(rng_for("decide-mc", seed))
-        assert_matches_reference(unit_gram(se.u_tilde), dim=se.u.shape[0])
-        assert_decide_matches_reference(se, monkeypatch)
+        ut = random_instance(rng_for("decide-mc", seed))
+        assert_matches_reference(unit_gram(ut), dim=ut.shape[0])
+        assert_decide_matches_reference(ut, monkeypatch)
 
 
 def test_min_norm_point_matches_reference_on_degenerate_instances(monkeypatch):
     for seed in range(200):
-        se = degenerate_instance(rng_for("degenerate", seed))
-        assert_matches_reference(unit_gram(se.u_tilde), dim=se.u.shape[0], same_corral=False)
-        report = assert_decide_matches_reference(se, monkeypatch)
-        assert report.status != "unknown" and verify_certificate(se, report), seed
+        ut = degenerate_instance(rng_for("degenerate", seed))
+        assert_matches_reference(unit_gram(ut), dim=ut.shape[0], same_corral=False)
+        report = assert_decide_matches_reference(ut, monkeypatch)
+        assert report.status != "unknown" and verify_certificate(ut, report), seed
 
 
 @pytest.mark.parametrize("n_keys, bits, seed", [(12, 40, 1), (12, 40, 24), (12, 44, 1),
                                                 (10, 48, 1)])
 def test_min_norm_point_matches_reference_near_threshold(n_keys, bits, seed, monkeypatch):
     net = build_mlp(32, [16, 16], 4, seed=0)
-    se = stack([keygen(net, k, bits, 0, "kernel", seed=seed) for k in range(n_keys)])
-    assert_matches_reference(unit_gram(se.u_tilde), dim=se.u.shape[0])
-    assert_decide_matches_reference(se, monkeypatch)
+    ut = stack([keygen(net, k, bits, 0, "kernel", seed=seed) for k in range(n_keys)])
+    assert_matches_reference(unit_gram(ut), dim=ut.shape[0])
+    assert_decide_matches_reference(ut, monkeypatch)
 
 
 def test_min_norm_point_refactors_when_rounding_breaks_the_border(monkeypatch):
@@ -362,8 +370,8 @@ def test_min_norm_point_with_fewer_buffer_slots_than_points():
     """12 points in R^3: buffers of min(N, dim + 1) + 1 = 5 points hold
     every corral, and the answer is still the reference's."""
     for seed in range(20):
-        se = random_instance(rng_for("wide-corral", seed), m=3, cols=12)
-        assert_matches_reference(unit_gram(se.u_tilde), dim=3)
+        ut = random_instance(rng_for("wide-corral", seed), m=3, cols=12)
+        assert_matches_reference(unit_gram(ut), dim=3)
 
 
 @pytest.mark.parametrize("kind, dim, seed", [
@@ -375,17 +383,17 @@ def test_min_norm_point_matches_reference_past_the_pending_borders(kind, dim, se
     once with the buffer full, and drops at least one point (one Schur
     downdate, the only np.outer left)."""
     rng = rng_for("deferred", kind, dim, seed)
-    se = (random_instance(rng, m=dim, cols=3 * dim) if kind == "gaussian"
+    ut = (random_instance(rng, m=dim, cols=3 * dim) if kind == "gaussian"
           else degenerate_instance(rng, m=dim, cols=3 * dim))
     folds, drops = [], []
     fold, outer = feasibility._fold, np.outer
     with monkeypatch.context() as m:
         m.setattr(feasibility, "_fold", lambda *args: folds.append(args[-1]) or fold(*args))
         m.setattr(np, "outer", lambda *args, **kw: drops.append(1) or outer(*args, **kw))
-        assert_matches_reference(unit_gram(se.u_tilde), dim=dim, same_corral=kind == "gaussian")
+        assert_matches_reference(unit_gram(ut), dim=dim, same_corral=kind == "gaussian")
     assert len(folds) >= 2 and BORDER_TERMS in folds and drops, (folds, len(drops))
-    report = assert_decide_matches_reference(se, monkeypatch)
-    assert report.status != "unknown" and verify_certificate(se, report)
+    report = assert_decide_matches_reference(ut, monkeypatch)
+    assert report.status != "unknown" and verify_certificate(ut, report)
 
 
 def test_decide_reports_the_conditions_of_u_tilde():
@@ -393,11 +401,11 @@ def test_decide_reports_the_conditions_of_u_tilde():
     conditions are those of U~ itself, zero columns included."""
     instances = [random_instance(rng_for("unit-gram", seed)) for seed in range(30)]
     instances += [degenerate_instance(rng_for("degenerate", seed)) for seed in range(30)]
-    instances += [direct_se(np.array([[1.0, 0.0, 2.0], [0.5, 0.0, 1.0]])), direct_se(np.ones((3, 2)))]
-    for se in instances:
-        report = decide(se)
+    instances += [np.array([[1.0, 0.0, 2.0], [0.5, 0.0, 1.0]]), np.ones((3, 2))]
+    for ut in instances:
+        report = decide(ut)
         conds = (report.cond_rank, report.cond_positive_row, report.cond_gram_positive)
-        assert conds == check_conditions(se)
+        assert conds == raw_conditions(ut)
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +428,9 @@ def test_decide_matches_covers_counting_theorem(d):
         rng = rng_for("cover", d, n)
         feasible = 0
         for _ in range(trials):
-            se = random_instance(rng, m=d, cols=n)
-            report = decide(se)
-            assert report.status != "unknown" and verify_certificate(se, report), (d, n)
+            ut = random_instance(rng, m=d, cols=n)
+            report = decide(ut)
+            assert report.status != "unknown" and verify_certificate(ut, report), (d, n)
             feasible += report.status == "feasible"
         low, high = binom.interval(1 - 1e-4, trials, cover_fraction(n, d))
         assert low <= feasible <= high, (d, n, feasible, (low, high))
@@ -436,20 +444,20 @@ def test_rank_deficient_u_with_bits_sign_z_is_infeasible(seed):
     for m, n, rank in [(24, 30, 20), (40, 48, 40), (16, 64, 16), (64, 80, 48)]:
         u = rng.normal(size=(m, rank)) @ rng.normal(size=(rank, n))
         z = np.linalg.svd(u)[2][-1]
-        se = StackedExtractors(u, u * np.sign(z), 1)
-        assert not check_conditions(se)[0]
-        report = decide(se)
-        assert report.status == "infeasible" and verify_certificate(se, report), (m, n, rank)
+        ut = u * np.sign(z)
+        assert not raw_conditions(ut)[0]
+        report = decide(ut)
+        assert report.status == "infeasible" and verify_certificate(ut, report), (m, n, rank)
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_full_column_rank_u_is_feasible_for_random_bits(seed):
     rng = rng_for("full-rank", seed)
     for m, n in [(24, 24), (40, 30), (64, 48), (96, 96)]:
-        se = random_instance(rng, m=m, cols=n)
-        assert check_conditions(se)[0]
-        report = decide(se)
-        assert report.status == "feasible" and verify_certificate(se, report), (m, n)
+        ut = random_instance(rng, m=m, cols=n)
+        assert raw_conditions(ut)[0]
+        report = decide(ut)
+        assert report.status == "feasible" and verify_certificate(ut, report), (m, n)
 
 
 # ---------------------------------------------------------------------------
@@ -458,21 +466,20 @@ def test_full_column_rank_u_is_feasible_for_random_bits(seed):
 def test_disjoint_coordinate_keys_feasible():
     net = build_mlp(8, [16, 16], 3, seed=0)
     keys = [keygen(net, k, 8, 0, "scale", seed=3) for k in range(4)]
-    se = stack(keys)
-    conds = check_conditions(se)
-    assert conds[0]  # one-hot disjoint columns are independent
-    report = decide(se)
-    assert report.status == "feasible" and verify_certificate(se, report)
+    ut = stack(keys)
+    assert raw_conditions(ut)[0]  # one-hot disjoint columns are independent
+    report = decide(ut)
+    assert report.status == "feasible" and verify_certificate(ut, report)
 
 
 def test_identical_coords_opposite_bits_infeasible():
     coords = np.array([0, 1])
     a = make_key(0, [1, -1], coords=coords, pool=4)
     b = make_key(1, [-1, 1], coords=coords, pool=4)
-    se = stack([a, b])
-    report = decide(se)
+    ut = stack([a, b])
+    report = decide(ut)
     assert report.status == "infeasible"
-    assert verify_certificate(se, report)
+    assert verify_certificate(ut, report)
 
 
 # ---------------------------------------------------------------------------

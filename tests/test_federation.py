@@ -89,9 +89,9 @@ def test_poisoned_regularized_client_update_replays(loss):
             trig_loss, _ = cross_entropy(logits[n:], trig.target_labels[pick])
             d_trig = softmax(logits[n:])
             d_trig[np.arange(3), trig.target_labels[pick]] -= 1.0
-            d_trig *= state.alpha / 3
+            d_trig *= state.spec.alpha / 3
             grads = replay.backward(np.concatenate([d_main, d_trig]))
-            feat = reg(replay.params, state.key, grads.vec, state.beta)
+            feat = reg(replay.params, state.key, grads.vec, state.spec.beta)
             opt.step(replay.params, grads, lr)
             seen["main"].append(main)
             seen["trigger"].append(trig_loss)
@@ -111,7 +111,7 @@ def test_zero_local_epochs_returns_global_unchanged():
 def test_identical_shards_produce_identical_updates():
     tr, net, shards, cfg, clients = small_world(n_clients=2)
     shared = clients[0].data
-    clients[1] = ClientState(1, clients[0].shard, shared)
+    clients[1] = ClientState(1, shared)
     (a, _), (b, _) = client_update(net, clients, net.get_params(), cfg, 0)
     assert a.equal(b)
 
@@ -119,7 +119,7 @@ def test_identical_shards_produce_identical_updates():
 def test_beta_without_key_is_config_error():
     tr, net, shards, cfg, clients = small_world()
     state = clients[0]
-    state.beta = 1.0
+    state.spec = WatermarkSpec(beta=1.0)
     with pytest.raises(ConfigError):
         client_update(net, [state], net.get_params(), cfg)
 
@@ -136,7 +136,7 @@ def test_alpha_without_triggers_is_config_error():
     tr, net, shards, cfg, clients = small_world()
     state = clients[0]
     state.key = keygen(net, 0, 4, 0, "scale", seed=1)
-    state.alpha = 1.0
+    state.spec = WatermarkSpec(alpha=1.0)
     with pytest.raises(ConfigError):
         client_update(net, [state], net.get_params(), cfg)
 
@@ -338,10 +338,31 @@ def test_single_client_fedavg_degenerates_to_sequential_updates():
     final, _ = run_federation(cfg, clients, net)
 
     chained = start
-    replay = ClientState(0, clients[0].shard, clients[0].data)
+    replay = ClientState(0, clients[0].data)
     for r in range(3):
         [(chained, _)] = client_update(net, [replay], chained, cfg, r)
     assert final.equal(chained)
+
+
+def test_default_spec_trains_plainly_with_no_telemetry(monkeypatch):
+    """The default spec has alpha = beta = 0: a client holding a key and a
+    trigger set under it trains as a keyless one, with no regularizer call
+    and no trigger rows, and the round logs carry no eta or trigger error."""
+    import fedsign.federation as fed
+    tr, net, shards, cfg, clients = small_world(n_clients=2)
+    assert all(c.spec == WatermarkSpec() and c.key is None for c in clients)
+    plain, _ = run_federation(cfg, clients, net)
+
+    tr, net, shards, cfg, clients = small_world(n_clients=2)
+    key = keygen(net, 0, 4, 3, "scale", seed=1, dataset=tr)
+    for reg in ("hinge_reg", "bce_reg"):
+        monkeypatch.setattr(fed, reg, lambda *args: pytest.fail("regularizer called"))
+    final, logs = run_federation(cfg, [ClientState(c.client_id, c.data, key) for c in clients],
+                                 net)
+    assert final.equal(plain)
+    assert all(not log.eta and not log.trigger_error for log in logs)
+    assert all(losses == {0: 0.0, 1: 0.0} for log in logs
+               for losses in (log.loss_trigger, log.loss_feature))
 
 
 def test_run_federation_bitwise_deterministic(tmp_path):

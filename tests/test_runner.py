@@ -31,6 +31,7 @@ def test_desk_scale_baseline_reaches_90_percent():
 
 def test_pgd_trigger_pipeline_trains_vanilla_model():
     m = parse_manifest(
+        "arch = cnn\ndata_kind = images\nchannels = 4\n"
         "classes = 3\nper_class = 60\nclients = 2\nrounds = 6\n"
         "embed.0 = mode=scale bits=4 beta=1.0 triggers=5 alpha=1.0 trigger_kind=pgd\n")
     result = run_once(m, seed=2)
