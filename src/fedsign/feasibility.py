@@ -16,7 +16,11 @@ Unknown means that neither certificate re-verified.  The corral is kept in
 buffers with the inverse of its lifted Gram and that inverse's row sums.
 An append's rank-one border is kept pending, and one GEMM folds up to
 BORDER_TERMS of them into the inverse; one refinement step against the
-kept lifted Gram stands in for a per-cycle solve.
+kept lifted Gram stands in for a per-cycle solve.  The search starts from
+the shortest column and adds one column per major cycle, unless U~ is well
+conditioned (full column rank and sigma_max <= COND * sigma_min): then it
+starts from every column, less those of weight <= 0 in their affine
+min-norm point, and a key set far below capacity ends in one major cycle.
 
 Three sufficient conditions guarantee the feasible branch: full column
 rank of U~ (sign flips keep the unsigned stack's rank; no SVD when U~ is
@@ -34,6 +38,7 @@ RANK_TOL = 1e-10
 STRICT_FLOOR = 1e-9
 WOLFE_TOL = 1e-12
 BORDER_TERMS = 16  # rank-one borders kept pending before one GEMM folds them
+COND = 8.0  # sigma_max / sigma_min of U~ up to which the search starts from every column
 
 
 @dataclass
@@ -83,21 +88,33 @@ def stack(keys):
 # ---------------------------------------------------------------------------
 # rank and conditions
 
+def _rank(s, rel_tol=RANK_TOL):
+    return int((s > rel_tol * s[0]).sum()) if s.size and s[0] > 0 else 0
+
+
 def numerical_rank(a, rel_tol=RANK_TOL):
     """Singular values above `rel_tol` times the largest; 0 for a zero matrix."""
-    s = np.linalg.svd(a, compute_uv=False)
-    return int((s > rel_tol * s[0]).sum()) if s.size and s[0] > 0 else 0
+    return _rank(np.linalg.svd(a, compute_uv=False), rel_tol)
+
+
+class Conditions(tuple):
+    """(rank, positive_row, gram_positive), with `well_conditioned` set
+    when U~ has full column rank and sigma_max <= COND * sigma_min."""
+    well_conditioned = False
 
 
 def check_conditions(ut, gram):
     """The three sufficient conditions, in order: rank(U~) equals the column
     count, some row of U~ is strictly positive, the Gram matrix of U~ is
     strictly positive entrywise.  `gram` is U~^T U~, or the Gram matrix of
-    the columns of U~ scaled to unit length, which has its signs."""
+    the columns of U~ scaled to unit length, which has its signs.  One SVD,
+    skipped when U~ is wider than tall, gives the rank and the conditioning."""
     m, n = ut.shape
-    cond_rank = m >= n and numerical_rank(ut) == n
-    cond_row = bool((ut > 0).all(axis=1).any())
-    return cond_rank, cond_row, bool((gram > 0).all())
+    s = np.linalg.svd(ut, compute_uv=False) if m >= n else np.zeros(0)
+    cond_rank = m >= n and _rank(s) == n
+    conds = Conditions((cond_rank, bool((ut > 0).all(axis=1).any()), bool((gram > 0).all())))
+    conds.well_conditioned = cond_rank and n > 0 and s[0] <= COND * s[-1]
+    return conds
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +125,7 @@ def _fold(inv, terms, pivots, k, p):
     inv[:k, :k] += (terms[:p, :k].T * pivots[:p]) @ terms[:p, :k]
 
 
-def _min_norm_point(gram, dim, tol=WOLFE_TOL):
+def _min_norm_point(gram, dim, tol=WOLFE_TOL, whole=False):
     """Wolfe's algorithm for x, the point nearest the origin in the convex
     hull of points u_j in R^dim given by their Gram matrix: x is a convex
     combination of the corral.  A major cycle adds the u_j minimizing x^T u_j;
@@ -122,11 +139,18 @@ def _min_norm_point(gram, dim, tol=WOLFE_TOL):
     which is kept pending: A^-1 = inv + T^T diag(1/s) T, so A^-1 x costs
     one k x k product plus two thin ones.  One GEMM folds the terms into
     inv when BORDER_TERMS are pending and before a drop's Schur downdate; a
-    refactor from the lifted Gram replaces them.
+    refactor from the lifted Gram replaces them.  A drop moves the last
+    corral slot into the dropped one.
     The row sums b = A^-1 1 are kept too: an append sets
     b += (v/s)(sum v - 1) and b_k = (1 - sum v)/s, and a drop or a refactor
     recomputes them.  The affine point is b / sum(b), b refined once by
-    b += A^-1 (1 - A b), so a minor cycle costs O(k^2).  Returns (corral,
+    b += A^-1 (1 - A b), so a minor cycle costs O(k^2).  A singular refactor
+    or an affine point that is not finite ends the search, as rounding does.
+    The search starts from the shortest point, which enters as an append.
+    With `whole`, for linearly independent points, it starts instead from
+    all of them: one inverse of their lifted Gram gives their affine
+    min-norm point, the points of weight <= 0 are dropped and the rest
+    solved again until every weight is positive.  Returns (corral,
     weights, major cycles)."""
     n, diag = len(gram), np.diag(gram)
     cap, stop = min(n, dim + 1) + 1, tol * diag.max()
@@ -139,7 +163,30 @@ def _min_norm_point(gram, dim, tol=WOLFE_TOL):
         pending = terms[:p, :k]
         return inv[:k, :k] @ x + (pivots[:p] * (pending @ x)) @ pending
 
+    def result():
+        return idx[:k].tolist(), weights, iterations
+
+    if whole:
+        corral = np.arange(n)
+        while True:
+            start = np.linalg.inv(gram[np.ix_(corral, corral)] + 1.0)
+            b = start.sum(axis=1)
+            weights = b / b.sum()
+            if (weights > 0).all():
+                break
+            corral = corral[weights > 0]
+        k = corral.size
+        idx[:k], rows[:k], inv[:k, :k], sums[:k] = corral, gram[corral], start, b
+        lifted[:k, :k] = rows[:k, corral] + 1.0
     while True:
+        if k:  # a major cycle, once the corral holds a point
+            iterations += 1
+            dots = weights @ rows[:k]
+            norm2 = weights @ dots[idx[:k]]
+            j = int(np.argmin(dots))
+            if norm2 - dots[j] <= stop or j in idx[:k] or norm2 >= last or k == cap:
+                return result()
+            last = norm2
         idx[k], rows[k] = j, gram[j]
         lifted[k, :k + 1] = lifted[:k + 1, k] = rows[:k + 1, j] + 1.0
         c = lifted[:k, k]
@@ -157,12 +204,17 @@ def _min_norm_point(gram, dim, tol=WOLFE_TOL):
             p += 1
         else:  # only rounding makes s <= 0: refactor from the kept lifted Gram,
             # which replaces the pending terms too
-            inv[:k + 1, :k + 1] = np.linalg.inv(lifted[:k + 1, :k + 1])
+            try:
+                inv[:k + 1, :k + 1] = np.linalg.inv(lifted[:k + 1, :k + 1])
+            except np.linalg.LinAlgError:
+                return result()
             sums[:k + 1], p = inv[:k + 1, :k + 1].sum(axis=1), 0
         k, weights = k + 1, np.append(weights, 0.0)
         while True:
             affine = sums[:k] + solve(1.0 - lifted[:k, :k] @ sums[:k])
             affine /= affine.sum()
+            if not np.isfinite(affine).all():
+                return result()
             if (affine > 0).all():
                 weights = affine
                 break
@@ -173,20 +225,16 @@ def _min_norm_point(gram, dim, tol=WOLFE_TOL):
             if p:
                 _fold(inv, terms, pivots, k, p)
                 p = 0
-            for i in np.flatnonzero(~(weights > 0)):  # Schur downdate of each drop
+            dropped = np.flatnonzero(~(weights > 0))
+            for i in dropped:  # Schur downdate of each drop
                 inv[:k, :k] -= np.outer(inv[:k, i], inv[i, :k] / inv[i, i])
-            keep = np.flatnonzero(weights > 0)
-            k, weights, sub = keep.size, weights[keep], np.ix_(keep, keep)
-            inv[:k, :k], lifted[:k, :k] = inv[sub], lifted[sub]
-            rows[:k], idx[:k] = rows[keep], idx[keep]
+            for i in dropped[::-1]:  # the last slot fills each dropped one
+                k -= 1
+                for buf in (inv, lifted):
+                    buf[i, :k], buf[:k, i], buf[i, i] = buf[k, :k], buf[:k, k], buf[k, k]
+                rows[i], idx[i], weights[i] = rows[k], idx[k], weights[k]
+            weights = weights[:k]
             sums[:k] = inv[:k, :k].sum(axis=1)
-        iterations += 1
-        dots = weights @ rows[:k]
-        norm2 = weights @ dots[idx[:k]]
-        j = int(np.argmin(dots))
-        if norm2 - dots[j] <= stop or j in idx[:k] or norm2 >= last or k == cap:
-            return idx[:k].tolist(), weights, iterations
-        last = norm2
 
 
 def decide(ut):
@@ -205,7 +253,8 @@ def decide(ut):
     if (norms == 0).any():  # a zero column is its own infeasibility certificate
         y[np.argmin(norms)] = 1.0
     else:
-        corral, weights, iterations = _min_norm_point(gram, dim=len(ut))
+        corral, weights, iterations = _min_norm_point(gram, dim=len(ut),
+                                                       whole=conds.well_conditioned)
         y[corral] = weights / norms[corral]
     stats = dict(iterations=iterations, min_norm=float(np.linalg.norm(ut @ y)))
     y /= y.sum()

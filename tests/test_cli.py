@@ -360,6 +360,17 @@ def test_feasibility_conflicting_keys_exit_nonzero(tmp_path, capsys):
     assert "Infeasible" in capsys.readouterr().out
 
 
+def test_feasibility_near_duplicate_kernel_columns_never_exit_3(tmp_path, capsys):
+    """Two columns 1e-8 apart: rounding ends the search, not the command."""
+    rng = np.random.default_rng(0)
+    u = rng.normal(size=(8, 3))
+    u[:, 2] = u[:, 0] + 1e-8 * rng.normal(size=8)
+    path = tmp_path / "k.key"
+    save_key(WatermarkKey(0, np.ones(3, dtype=np.int8), ((1, "kernel"),), 8, matrix=u), path)
+    assert main(["feasibility", str(path)]) in (EXIT_OK, EXIT_VERIFY_FAILED)
+    assert "status=" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # attack
 

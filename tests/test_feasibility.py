@@ -8,6 +8,7 @@ from fedsign import feasibility
 from fedsign.errors import KeyMismatchError
 from fedsign.feasibility import (
     BORDER_TERMS,
+    COND,
     WOLFE_TOL,
     _min_norm_point,
     capacity_bound,
@@ -217,7 +218,8 @@ def test_decide_near_threshold_kernel_keys(seed):
 def test_report_carries_iterations_and_min_norm():
     feasible = decide(np.eye(3))
     assert feasible.status == "feasible"
-    assert feasible.iterations >= 3  # one major cycle per entering column
+    assert feasible.iterations == 1  # the whole start is already optimal
+    assert _min_norm_point(np.eye(3), 3)[2] >= 3  # one major cycle per entering column
     assert feasible.min_norm == pytest.approx(1 / np.sqrt(3))
     c = np.array([[1.0], [2.0], [-0.5]])
     infeasible = decide(np.hstack([c, -c]))
@@ -308,7 +310,7 @@ def assert_decide_matches_reference(ut, monkeypatch):
     report = decide(ut)
     with monkeypatch.context() as m:
         m.setattr(feasibility, "_min_norm_point",
-                  lambda gram, dim: reference_min_norm_point(gram))
+                  lambda gram, dim, whole=False: reference_min_norm_point(gram))
         assert report.status == decide(ut).status
     return report
 
@@ -406,6 +408,94 @@ def test_decide_reports_the_conditions_of_u_tilde():
         report = decide(ut)
         conds = (report.cond_rank, report.cond_positive_row, report.cond_gram_positive)
         assert conds == raw_conditions(ut)
+
+
+# ---------------------------------------------------------------------------
+# the whole start: a well-conditioned U~ starts from every column
+
+def well_conditioned_instance(rng):
+    """Gaussian columns with N <= M/2, or a signed one-hot stack (distinct
+    coordinates, as scale keys have)."""
+    m = int(rng.integers(8, 41))
+    cols = int(rng.integers(2, m // 2 + 1))
+    if rng.integers(2):
+        return random_instance(rng, m=m, cols=cols)
+    ut = np.zeros((m, cols))
+    ut[rng.choice(m, size=cols, replace=False), np.arange(cols)] = rng.choice([-1.0, 1.0], cols)
+    return ut
+
+
+def two_demo_kernel_keys():
+    """Two 32-bit kernel keys on the demo MLP's 256-entry pool: the affine
+    min-norm point of all 64 columns has weights <= 0."""
+    net = build_mlp(32, [16, 16], 4, seed=0)
+    return stack([keygen(net, k, 32, 0, "kernel", seed=7) for k in range(2)])
+
+
+def test_conditions_take_one_svd_and_read_the_conditioning(monkeypatch):
+    calls, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(a.shape) or svd(a, **kw))
+    assert raw_conditions(np.diag([1.0, 1.0, 2.0 / COND])).well_conditioned
+    assert not raw_conditions(np.diag([1.0, 1.0, 0.5 / COND])).well_conditioned
+    assert not raw_conditions(np.eye(3, 5)).well_conditioned  # wide: no SVD
+    assert calls == [(3, 3), (3, 3)]
+
+
+def test_whole_start_matches_reference_on_well_conditioned_instances():
+    """The same corral as a set and the same point x as the shortest-column
+    start, and decide agrees with the LP oracle."""
+    instances = [well_conditioned_instance(rng_for("whole-start", seed)) for seed in range(40)]
+    for ut in instances + [two_demo_kernel_keys()]:
+        gram = unit_gram(ut)
+        corral, weights, _ = _min_norm_point(gram, dim=ut.shape[0], whole=True)
+        ref_corral, ref_weights, _ = reference_min_norm_point(gram)
+        assert sorted(corral) == sorted(ref_corral)
+        np.testing.assert_allclose(weights @ gram[corral], ref_weights @ gram[ref_corral],
+                                   rtol=0, atol=1e-9)
+        report = decide(ut)
+        assert report.status == "feasible" and verify_certificate(ut, report)
+        assert oracle_infeasible_lp(ut) is None
+
+
+def test_whole_start_cost_is_counted(monkeypatch):
+    """On the two demo kernel keys decide takes the whole start: one drop
+    round, so at most 3 inverses and 2 major cycles, where the shortest
+    column's start takes a major cycle per bit."""
+    ut = two_demo_kernel_keys()
+    calls, inv = [], np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a.shape) or inv(a))
+    report = decide(ut)
+    assert report.status == "feasible" and verify_certificate(ut, report)
+    assert calls[0] == (64, 64) and 2 <= len(calls) <= 3, calls
+    assert report.iterations <= 2
+    assert _min_norm_point(unit_gram(ut), dim=256)[2] >= 32
+
+
+def near_duplicate_instance(rng):
+    """3-11 Gaussian rows and 2-4 columns, one of them another column or
+    its opposite plus noise of scale 1e-9 to 1e-4.  Returns (U~, noise)."""
+    m, cols = int(rng.integers(3, 12)), int(rng.integers(2, 5))
+    ut = rng.normal(size=(m, cols))
+    a, b = rng.choice(cols, size=2, replace=False)
+    noise = 10.0 ** rng.uniform(-9, -4)
+    ut[:, b] = rng.choice([-1.0, 1.0]) * ut[:, a] + noise * rng.normal(size=m)
+    return ut, noise
+
+
+def test_decide_never_raises_on_near_duplicate_columns():
+    """A singular refactor or a non-finite affine point ends the search with
+    the current corral, so decide returns a verified certificate or
+    Unknown.  The LP oracle accepts |U~ y| <= 1e-8, so its status is
+    compared only where the noise is 10 times that."""
+    for seed in range(600):
+        ut, noise = near_duplicate_instance(rng_for("near-duplicate", seed))
+        report = decide(ut)
+        if report.status == "unknown":
+            continue
+        assert verify_certificate(ut, report), seed
+        if noise >= 1e-7:
+            expected = "infeasible" if oracle_infeasible_lp(ut) is not None else "feasible"
+            assert report.status == expected, seed
 
 
 # ---------------------------------------------------------------------------
