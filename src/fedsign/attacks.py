@@ -50,7 +50,7 @@ def prune(params, rate, seed):
     return out
 
 
-def finetune(net, params, ds, budgets, lr=1e-4, seed=0):
+def finetune(net, params, ds, budgets, lr, seed):
     """Main-task-only SGD from the attacked parameters (no watermark terms).
 
     The learning rate decays by 1% per epoch.  Returns the parameters after
@@ -65,45 +65,38 @@ def finetune(net, params, ds, budgets, lr=1e-4, seed=0):
     return kept
 
 
-def evaluate_attack(net, params, keys, eval_data, trigger_keys=None):
-    """Main accuracy plus per-mode mean detection rates for `params`.
-
-    `keys` are the feature-embedded signatures (white-box eligible);
-    `trigger_keys` the trigger-embedded ones (defaults to `keys`).
-    """
+def evaluate_attack(net, params, feature_keys, trigger_keys, eval_data):
+    """Main accuracy plus per-mode mean detection rates for `params`:
+    white-box over `feature_keys`, black-box over the `trigger_keys` that
+    carry triggers."""
     net.set_params(params)
     acc = accuracy(net, eval_data[0], eval_data[1])
     gamma, kernel, trig = [], [], []
-    for key in keys:
+    for key in feature_keys:
         eta = verify_white(params, key).detection_rate
         (gamma if key.mode == "scale" else kernel).append(eta)
-    for key in (keys if trigger_keys is None else trigger_keys):
+    for key in trigger_keys:
         if key.triggers is not None:
             trig.append(verify_black(net, key.triggers).trigger_error)
     mean = lambda xs: float(np.mean(xs)) if xs else None
     return acc, mean(gamma), mean(kernel), mean(trig)
 
 
-def run_attack_suite(net, params, keys, eval_data, train_ds, prune_rates=(),
-                     finetune_epochs=(), finetune_lr=1e-4, seed=0,
-                     trigger_keys=None):
-    """Sweep pruning rates and fine-tuning budgets over a trained model.
-
-    Every pruning rate starts from the original `params`; the fine-tuning
-    budgets are points of one `finetune` run from them, each equal to a run
-    of its own length.  Reports come back in grid order (prunes first)."""
-    acc0, g0, k0, t0 = evaluate_attack(net, params, keys, eval_data, trigger_keys)
-    reports = []
-    for rate in prune_rates:
-        attacked = prune(params, rate, seed)
-        acc, g, k, t = evaluate_attack(net, attacked, keys, eval_data, trigger_keys)
-        reports.append(AttackReport("prune", float(rate), acc0, acc, g, k, t))
-    budgets = [int(epochs) for epochs in finetune_epochs]
-    tuned = finetune(net, params, train_ds, budgets, lr=finetune_lr, seed=seed)
-    for epochs, attacked in zip(budgets, tuned):
-        acc, g, k, t = evaluate_attack(net, attacked, keys, eval_data, trigger_keys)
-        reports.append(AttackReport("finetune", float(epochs), acc0, acc, g, k, t))
-    return reports
+def run_attack_suite(m, net, params, feature_keys, trigger_keys, train_ds, eval_data):
+    """The attack grid of manifest `m` over a trained model, one report per
+    point in grid order: each `attack.prune` rate from the original
+    `params`, then each `attack.finetune_epochs` budget, all points of one
+    `finetune` run from them."""
+    net.set_params(params)
+    acc_before = accuracy(net, eval_data[0], eval_data[1])
+    budgets = [int(epochs) for epochs in m.attack_finetune_epochs]
+    grid = ([("prune", rate, prune(params, rate, m.attack_seed)) for rate in m.attack_prune]
+            + [("finetune", epochs, tuned) for epochs, tuned in zip(
+                budgets, finetune(net, params, train_ds, budgets, m.attack_finetune_lr,
+                                  m.attack_seed))])
+    return [AttackReport(attack, float(value), acc_before,
+                         *evaluate_attack(net, attacked, feature_keys, trigger_keys, eval_data))
+            for attack, value, attacked in grid]
 
 
 def attack_reports_to_csv(reports, path):

@@ -72,9 +72,8 @@ def cmd_verify(args):
     if args.mode in ("black", "both"):
         if key.triggers is None:
             raise FedsignError("keyfile carries no trigger set for black-box mode")
-        net = network_from_descriptor(descriptor, seed=0)
-        net.set_params(params)
-        res = verify_black(net, key.triggers, args.eps_y)
+        res = verify_black(network_from_descriptor(descriptor, params), key.triggers,
+                           args.eps_y)
         print(res.summary())
         verdict &= res.verdict
     return EXIT_OK if verdict else EXIT_VERIFY_FAILED
@@ -104,24 +103,15 @@ def cmd_attack(args):
         raise FedsignError(f"missing checkpoint {ckpt}; run `fedsign train` first")
     descriptor, _, entries = io.load_checkpoint(ckpt)
     params = ModelParams(entries)
-    net = network_from_descriptor(descriptor, seed=0)
-    feature_keys, trigger_keys = [], []
-    for cid in sorted(m.embed):
-        path = _key_path(m.out_dir, cid)
-        if not os.path.exists(path):
-            continue
-        key = load_key(path)
-        if m.embed[cid].beta > 0:
-            feature_keys.append(key)
-        if m.embed[cid].alpha > 0:
-            trigger_keys.append(key)
+    net = network_from_descriptor(descriptor, params)
+    # every client that embeds was given a keyfile by `train`
+    keys = {cid: load_key(_key_path(m.out_dir, cid))
+            for cid, spec in sorted(m.embed.items()) if spec.alpha > 0 or spec.beta > 0}
     train, test = make_data(m, m.seed)
-    reports = run_attack_suite(net, params, feature_keys,
-                               (test.inputs, test.labels),
-                               train, prune_rates=m.attack_prune,
-                               finetune_epochs=m.attack_finetune_epochs,
-                               finetune_lr=m.attack_finetune_lr,
-                               seed=m.attack_seed, trigger_keys=trigger_keys)
+    reports = run_attack_suite(m, net, params,
+                               [key for cid, key in keys.items() if m.embed[cid].beta > 0],
+                               [key for cid, key in keys.items() if m.embed[cid].alpha > 0],
+                               train, (test.inputs, test.labels))
     out = os.path.join(m.out_dir, "attacks.csv")
     attack_reports_to_csv(reports, out)
     for r in reports:

@@ -88,13 +88,8 @@ def stack(keys):
 # ---------------------------------------------------------------------------
 # rank and conditions
 
-def _rank(s, rel_tol=RANK_TOL):
-    return int((s > rel_tol * s[0]).sum()) if s.size and s[0] > 0 else 0
-
-
-def numerical_rank(a, rel_tol=RANK_TOL):
-    """Singular values above `rel_tol` times the largest; 0 for a zero matrix."""
-    return _rank(np.linalg.svd(a, compute_uv=False), rel_tol)
+def _rank(s):
+    return int((s > RANK_TOL * s[0]).sum()) if s.size and s[0] > 0 else 0
 
 
 class Conditions(tuple):

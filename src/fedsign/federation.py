@@ -4,9 +4,11 @@ averaging.
 
 Each round, `client_update` trains every selected client in one stacked
 `sgd_epochs` call on a network holding one parameter row per client (the
-FedJAX way of vectorizing local training over clients); each client keeps
-its own shuffle, trigger-row draws, regularizer, learning rate and noise
-stream, so the result equals one-client runs bitwise.
+FedJAX way of vectorizing local training over clients), bitwise equal to
+one-client runs.  The clients share the learning rate and the shuffle
+stream `(cfg.seed, "batches", round)`, so equal-sized shards draw the same
+permutation; each has its own trigger-row draws, regularizer and (drawn in
+`run_federation`) upload noise stream.
 
 The aggregation path only ever sees ``(client_id, ModelParams, n_k)``
 tuples, each update one parameter vector with its layout; watermark keys

@@ -152,13 +152,13 @@ def _parse_embed(key, raw):
             raise ConfigError(f"manifest key {key!r}: unknown field {name!r}")
         spec[name] = _parse_value(key, value, _EMBED_FIELDS[name][1])
     ws = WatermarkSpec(**{_EMBED_FIELDS[name][0]: value for name, value in spec.items()})
-    # the rules that span fields go first: "beta=1 bits=0" is a missing spec
+    # a missing spec goes before the range checks: "beta=1 bits=0" is one
     if ws.beta > 0 and ws.n_bits < 1:
         raise ConfigError(f"{key}: missing watermark spec (bits >= 1 required)")
-    if ws.alpha > 0 and ws.n_triggers < 1:
-        raise ConfigError(f"{key}: alpha > 0 needs triggers >= 1")
     for name, value in spec.items():
         _check(f"{key}: {name}", value, _EMBED_FIELDS[name][2])
+    if (ws.alpha > 0) != (ws.n_triggers >= 1):  # a round trains triggers only if alpha > 0
+        raise ConfigError(f"{key}: alpha > 0 and triggers >= 1 need each other")
     return ws
 
 

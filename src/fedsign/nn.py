@@ -35,7 +35,7 @@ import numbers
 import numpy as np
 
 from . import kernels
-from .errors import KeyMismatchError, ShapeError, StateError
+from .errors import FormatError, KeyMismatchError, ShapeError, StateError
 
 TRAINABLE_ROLES = ("kernel", "scale", "bias")
 
@@ -742,21 +742,38 @@ def build_cnn(hw, c_in, channels, n_classes, seed):
     return Network(layers, (hw, hw, c_in), n_classes, desc)
 
 
-def network_from_descriptor(descriptor, seed):
-    """Rebuild an architecture from its descriptor string."""
-    parts = descriptor.split(":")
+def network_from_descriptor(descriptor, params):
+    """The network `descriptor` names, holding `params` (its checkpoint's).
+    A malformed descriptor, or one that does not fit `params`, raises
+    FormatError; one whose kernels outsize `params` does so before any
+    layer is allocated."""
     try:
-        if parts[0] == "mlp":
-            _, n_in, hidden, n_cls = parts
-            return build_mlp(int(n_in), [int(w) for w in hidden.split(",")],
-                             int(n_cls), seed)
-        if parts[0] == "cnn":
-            _, shape, channels, n_cls = parts
-            h, w, c = (int(v) for v in shape.split("x"))
+        family, n_in, widths, n_cls = descriptor.split(":")
+        widths, n_cls = [int(v) for v in widths.split(",")], int(n_cls)
+        if family == "mlp":
+            dims = [int(n_in), *widths, n_cls]
+            sizes = [a * b for a, b in zip(dims, dims[1:])]
+            build = lambda: build_mlp(dims[0], widths, n_cls, 0)
+        elif family == "cnn":
+            h, w, c = (int(v) for v in n_in.split("x"))
             if h != w:
                 raise ValueError("only square inputs supported")
-            return build_cnn(h, c, [int(v) for v in channels.split(",")],
-                             int(n_cls), seed)
-    except (ValueError, IndexError) as exc:
-        raise ShapeError(f"bad architecture descriptor {descriptor!r}: {exc}") from None
-    raise ShapeError(f"unknown architecture family in {descriptor!r}")
+            dims = [h, c, *widths, n_cls]
+            # 3x3 kernels, then a head on the map that each 2x2 pool halves
+            sizes = ([9 * a * b for a, b in zip(dims[1:-2], widths)]
+                     + [(h >> len(widths)) ** 2 * widths[-1] * n_cls])
+            build = lambda: build_cnn(h, c, widths, n_cls, 0)
+        else:
+            raise ValueError("unknown architecture family")
+        if min(dims) < 1:
+            raise ValueError("dimensions must be >= 1")
+    except ValueError as exc:
+        raise FormatError(f"bad architecture descriptor {descriptor!r}: {exc}") from None
+    if min(sizes) < 1 or sum(sizes) > params.vec.size:
+        raise FormatError(f"architecture descriptor {descriptor!r} does not fit the "
+                          f"checkpoint's {params.vec.size} parameters")
+    net = build()
+    if net.params.layout != params.layout:
+        raise FormatError(f"checkpoint tensors do not fit architecture {descriptor!r}")
+    net.set_params(params)
+    return net

@@ -14,7 +14,7 @@ from fedsign.attacks import run_attack_suite
 from fedsign.data import forge_pattern_triggers, make_synthetic
 from fedsign.feasibility import capacity_bound, decide, verify_certificate
 from fedsign.io import load_checkpoint
-from fedsign.manifest import parse_manifest
+from fedsign.manifest import RunManifest, parse_manifest
 from fedsign.metrics import false_positive_analysis
 from fedsign.nn import ModelParams, build_cnn, build_mlp, rng_for
 from fedsign.runner import make_network, run_once
@@ -260,11 +260,10 @@ def test_criterion_08_robustness_ordering():
     prune_gammas, ft_orderings = [], []
     for seed, result in zip(SEEDS, arm("robust")):
         keys = [c.key for c in result.clients if c.key is not None]
-        reports = run_attack_suite(
-            result.net, result.params, keys,
-            (result.test.inputs, result.test.labels), result.train,
-            prune_rates=(0.5,), finetune_epochs=(50,), finetune_lr=1e-4,
-            seed=seed)
+        grid = RunManifest(attack_prune=(0.5,), attack_finetune_epochs=(50,),
+                           attack_finetune_lr=1e-4, attack_seed=seed)
+        reports = run_attack_suite(grid, result.net, result.params, keys, keys, result.train,
+                                   (result.test.inputs, result.test.labels))
         prune_rep, ft_rep = reports
         prune_gammas.append(prune_rep.eta_gamma)
         ft_orderings.append(ft_rep.eta_gamma >= ft_rep.eta_kernel)

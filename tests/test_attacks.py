@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import fedsign.attacks
 from fedsign.attacks import (
     CSV_COLUMNS,
     attack_reports_to_csv,
@@ -11,6 +12,7 @@ from fedsign.attacks import (
 )
 from fedsign.data import make_synthetic, split
 from fedsign.federation import FedConfig, WatermarkSpec, run_federation, setup_clients
+from fedsign.manifest import RunManifest
 from fedsign.nn import SgdMomentum, build_mlp, cross_entropy, rng_for
 from fedsign.watermark import verify_white
 
@@ -84,7 +86,7 @@ def test_prune_composition_zeroes_at_least_max_fraction():
 
 def test_finetune_zero_epochs_is_identity(robustness_run):
     net, params, keys, train, test = robustness_run
-    assert finetune(net, params, train, [0])[0].equal(params)
+    assert finetune(net, params, train, [0], lr=1e-4, seed=0)[0].equal(params)
 
 
 def test_finetune_replays_momentum_sgd():
@@ -141,22 +143,22 @@ def test_finetune_grid_takes_the_largest_budget_of_steps(monkeypatch):
     steps = []
     step = SgdMomentum.step
     monkeypatch.setattr(SgdMomentum, "step", lambda *a: (steps.append(1), step(*a)))
-    finetune(net, net.get_params(), ds, (2, 7, 4))
+    finetune(net, net.get_params(), ds, (2, 7, 4), lr=1e-4, seed=0)
     assert len(steps) == 7 * -(-ds.n // 16)
 
 
 def test_finetune_keeps_main_accuracy(robustness_run):
     net, params, keys, train, test = robustness_run
-    acc_before, *_ = evaluate_attack(net, params, keys, (test.inputs, test.labels))
+    acc_before, *_ = evaluate_attack(net, params, keys, keys, (test.inputs, test.labels))
     [attacked] = finetune(net, params, train, [50], lr=1e-4, seed=0)
-    acc_after, *_ = evaluate_attack(net, attacked, keys, (test.inputs, test.labels))
+    acc_after, *_ = evaluate_attack(net, attacked, keys, keys, (test.inputs, test.labels))
     assert acc_after >= acc_before - 0.01
 
 
 def test_finetune_hinge_scale_outlives_bce_kernel(robustness_run):
     net, params, keys, train, test = robustness_run
     [attacked] = finetune(net, params, train, [50], lr=1e-4, seed=0)
-    _, eta_gamma, eta_kernel, _ = evaluate_attack(net, attacked, keys,
+    _, eta_gamma, eta_kernel, _ = evaluate_attack(net, attacked, keys, keys,
                                                   (test.inputs, test.labels))
     assert eta_gamma >= eta_kernel
 
@@ -175,16 +177,20 @@ def test_attacks_leave_keys_usable(robustness_run):
 # ---------------------------------------------------------------------------
 # suite
 
+def run_grid(run, prune=(), finetune=()):
+    """The attack suite over `run` on a manifest grid of these rates and
+    budgets (attack seed 0); the feature keys double as trigger keys."""
+    net, params, keys, train, test = run
+    m = RunManifest(attack_prune=prune, attack_finetune_epochs=finetune)
+    return run_attack_suite(m, net, params, keys, keys, train, (test.inputs, test.labels))
+
+
 def test_empty_grid_gives_empty_reports(robustness_run):
-    net, params, keys, train, test = robustness_run
-    assert run_attack_suite(net, params, keys, (test.inputs, test.labels), train) == []
+    assert run_grid(robustness_run) == []
 
 
 def test_report_count_matches_grid(robustness_run):
-    net, params, keys, train, test = robustness_run
-    reports = run_attack_suite(net, params, keys, (test.inputs, test.labels), train,
-                               prune_rates=(0.0, 0.25, 0.5), finetune_epochs=(5,),
-                               seed=0)
+    reports = run_grid(robustness_run, prune=(0.0, 0.25, 0.5), finetune=(5,))
     assert len(reports) == 4
     assert [r.attack for r in reports] == ["prune"] * 3 + ["finetune"]
     zero = reports[0]
@@ -192,9 +198,7 @@ def test_report_count_matches_grid(robustness_run):
 
 
 def test_suite_reports_follow_the_grid(robustness_run):
-    net, params, keys, train, test = robustness_run
-    reports = run_attack_suite(net, params, keys, (test.inputs, test.labels), train,
-                               prune_rates=(0.5, 0.0), finetune_epochs=(3, 0, 1, 3), seed=0)
+    reports = run_grid(robustness_run, prune=(0.5, 0.0), finetune=(3, 0, 1, 3))
     assert [(r.attack, r.param) for r in reports] == [
         ("prune", 0.5), ("prune", 0.0), ("finetune", 3.0), ("finetune", 0.0),
         ("finetune", 1.0), ("finetune", 3.0)]
@@ -202,18 +206,29 @@ def test_suite_reports_follow_the_grid(robustness_run):
     assert reports[2] == reports[5]
 
 
+def test_suite_runs_one_finetune_and_one_prune_per_rate(robustness_run, monkeypatch):
+    """Every budget is read off a single fine-tune run, and the suite looks
+    `prune` and `finetune` up as module names, where the tracer binds."""
+    calls = []
+    for name in ("prune", "finetune"):
+        original = getattr(fedsign.attacks, name)
+        monkeypatch.setattr(fedsign.attacks, name,
+                            lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
+    reports = run_grid(robustness_run, prune=(0.2, 0.4), finetune=(1, 3, 2))
+    assert calls == ["prune", "prune", "finetune"]
+    assert [(r.attack, r.param) for r in reports] == [
+        ("prune", 0.2), ("prune", 0.4), ("finetune", 1.0), ("finetune", 3.0),
+        ("finetune", 2.0)]
+
+
 def test_gamma_signature_survives_half_pruning(robustness_run):
-    net, params, keys, train, test = robustness_run
-    reports = run_attack_suite(net, params, keys, (test.inputs, test.labels), train,
-                               prune_rates=(0.5,), seed=0)
-    assert reports[0].eta_gamma >= 0.95
-    assert reports[0].eta_gamma >= reports[0].eta_kernel
+    [report] = run_grid(robustness_run, prune=(0.5,))
+    assert report.eta_gamma >= 0.95
+    assert report.eta_gamma >= report.eta_kernel
 
 
 def test_attack_csv_layout(tmp_path, robustness_run):
-    net, params, keys, train, test = robustness_run
-    reports = run_attack_suite(net, params, keys, (test.inputs, test.labels), train,
-                               prune_rates=(0.1,), seed=0)
+    reports = run_grid(robustness_run, prune=(0.1,))
     path = tmp_path / "attacks.csv"
     attack_reports_to_csv(reports, path)
     lines = path.read_text().strip().split("\n")

@@ -403,6 +403,30 @@ def test_attack_bad_grid_exits_2_before_loading(trained, capsys, line):
     assert not (out / "attacks.csv").exists()
 
 
+def test_attack_missing_keyfile_is_input_error(tmp_path, capsys):
+    manifest, out = write_manifest(
+        tmp_path, MINIMAL + "embed.1 = mode=kernel bits=8 loss=bce beta=3.0\n"
+                            "attack.prune = 0.5\n")
+    assert main(["train", str(manifest)]) == EXIT_OK
+    os.remove(out / "client_1.key")
+    assert main(["attack", str(manifest)]) == EXIT_INPUT
+    assert "client_1.key" in capsys.readouterr().err
+    assert not (out / "attacks.csv").exists()
+
+
+# zero widths, and a network far larger than the checkpoint's tensors
+@pytest.mark.parametrize("descriptor", ["mlp:0:16,16:4", "mlp:32:0,16:4", "mlp:99999999:99999:4"])
+def test_bad_checkpoint_descriptor_is_input_error(tmp_path, capsys, descriptor):
+    manifest, out = write_manifest(tmp_path, WITH_TRIGGERS)
+    assert main(["train", str(manifest)]) == EXIT_OK
+    ckpt = out / "checkpoint.bin"
+    _, seed, entries = io.load_checkpoint(ckpt)
+    io.save_checkpoint(ckpt, descriptor, seed, entries)
+    assert main(["verify", str(ckpt), str(out / "client_0.key"), "--mode", "black"]) == EXIT_INPUT
+    assert main(["attack", str(manifest)]) == EXIT_INPUT
+    assert capsys.readouterr().err.count(f"descriptor {descriptor!r}") == 2
+
+
 # ---------------------------------------------------------------------------
 # sweep
 

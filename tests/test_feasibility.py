@@ -14,7 +14,6 @@ from fedsign.feasibility import (
     capacity_bound,
     check_conditions,
     decide,
-    numerical_rank,
     stack,
     verify_certificate,
 )
@@ -99,24 +98,6 @@ def test_stack_is_exact_on_mixed_keys_and_leaves_them_unchanged():
 # ---------------------------------------------------------------------------
 # rank and conditions
 
-def test_numerical_rank_basics():
-    rng = rng_for("rank")
-    assert numerical_rank(np.eye(4)) == 4
-    assert numerical_rank(np.ones((5, 3))) == 1
-    assert numerical_rank(np.zeros((3, 2))) == 0
-    a = rng.normal(size=(6, 4))
-    a[:, 3] = a[:, 0] + a[:, 1]
-    assert numerical_rank(a) == 3
-
-
-def test_numerical_rank_matches_numpy_on_random(seed=0):
-    rng = rng_for("rank-mc", seed)
-    for _ in range(50):
-        m, n = rng.integers(2, 8, size=2)
-        a = rng.normal(size=(m, n))
-        assert numerical_rank(a) == np.linalg.matrix_rank(a)
-
-
 def test_conditions_accept_a_precomputed_gram():
     """The raw Gram U~^T U~ and the Gram of U~'s unit columns give the same
     conditions."""
@@ -133,13 +114,6 @@ def test_conditions_all_ones():
     assert raw_conditions(np.ones((4, 2))) == (False, True, True)
 
 
-def test_conditions_skip_the_svd_when_u_is_wide(monkeypatch):
-    def no_svd(a, rel_tol=None):
-        raise AssertionError("numerical_rank called on a wide U~")
-    monkeypatch.setattr(feasibility, "numerical_rank", no_svd)
-    assert raw_conditions(np.eye(3, 5)) == (False, False, False)  # rank 3 < 5 columns
-
-
 def test_condition_rank_equals_full_column_rank_on_wide_and_tall():
     """The rank condition, read from U~, is the full column rank of the
     unsigned U."""
@@ -150,7 +124,7 @@ def test_condition_rank_equals_full_column_rank_on_wide_and_tall():
         if seed % 3 == 0:  # a repeated column drops the rank of a tall U
             u[:, -1] = u[:, 0]
         ut = u * rng.choice([-1.0, 1.0], size=cols)
-        assert raw_conditions(ut)[0] == (numerical_rank(u) == cols), seed
+        assert raw_conditions(ut)[0] == (np.linalg.matrix_rank(u) == cols), seed
 
 
 def test_condition_rank_holds_for_random_tall_matrices():
@@ -437,7 +411,8 @@ def test_conditions_take_one_svd_and_read_the_conditioning(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(a.shape) or svd(a, **kw))
     assert raw_conditions(np.diag([1.0, 1.0, 2.0 / COND])).well_conditioned
     assert not raw_conditions(np.diag([1.0, 1.0, 0.5 / COND])).well_conditioned
-    assert not raw_conditions(np.eye(3, 5)).well_conditioned  # wide: no SVD
+    wide = raw_conditions(np.eye(3, 5))  # rank 3 < 5 columns, read with no SVD
+    assert wide == (False, False, False) and not wide.well_conditioned
     assert calls == [(3, 3), (3, 3)]
 
 

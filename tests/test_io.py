@@ -31,6 +31,26 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         assert np.array_equal(entries[k].view(np.uint64), back[k].view(np.uint64))
 
 
+def test_large_arrays_load_into_pages_of_their_own(tmp_path):
+    # one array on each side of OWN_PAGES_BYTES, at odd file offsets; the
+    # large one last, so that the truncated file cuts into it
+    rng = rng_for("own-pages")
+    small = rng.normal(size=(io.OWN_PAGES_BYTES // 8 - 1,))
+    big = rng.normal(size=(3, io.OWN_PAGES_BYTES // 24 + 1))
+    path = tmp_path / "model.bin"
+    io.save_checkpoint(path, "x", 0, {(0, "kernel"): small, (1, "kernel"): big})
+    _, _, back = io.load_checkpoint(path)
+    for arr, got in ((small, back[(0, "kernel")]), (big, back[(1, "kernel")])):
+        assert got.shape == arr.shape and got.dtype == np.dtype("<f8")
+        assert np.array_equal(arr.view(np.uint64), got.view(np.uint64))
+        assert got.flags.writeable and got.flags.aligned and got.flags.c_contiguous
+        got += 1.0
+        assert np.array_equal(got, arr + 1.0)
+    path.write_bytes(path.read_bytes()[:-1])
+    with pytest.raises(FormatError, match="truncated"):
+        io.load_checkpoint(path)
+
+
 def test_checkpoint_bytes_deterministic(tmp_path):
     net = build_cnn(8, 1, [4], 3, seed=5)
     a, b = tmp_path / "a.bin", tmp_path / "b.bin"

@@ -119,6 +119,14 @@ def test_alpha_needs_triggers():
         parse_manifest("embed.0 = alpha=1.0")
 
 
+@pytest.mark.parametrize("spec", ["mode=scale bits=4 loss=hinge beta=1.0 triggers=4",
+                                  "triggers=4 trigger_kind=pgd", "triggers=1 alpha=0.0"])
+def test_triggers_need_alpha(spec):
+    # no round would train them, and an honest key would fail black-box
+    with pytest.raises(ConfigError, match="embed.0: alpha > 0 and triggers >= 1 need each other"):
+        parse_manifest(f"arch = cnn\ndata_kind = images\nembed.0 = {spec}")
+
+
 def test_bad_sweep_kind_rejected():
     with pytest.raises(ConfigError, match="sweep.kind"):
         parse_manifest("sweep.kind = banana")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fedsign import io
-from fedsign.errors import ShapeError, StateError
+from fedsign.errors import FormatError, ShapeError, StateError
 from fedsign.nn import (
     Conv2d,
     Dense,
@@ -337,14 +337,19 @@ def test_set_get_roundtrip_and_key_check():
 
 def test_descriptor_roundtrip():
     for net in (build_mlp(32, [16, 16], 4, seed=7), build_cnn(8, 1, [8, 16], 4, seed=7)):
-        rebuilt = network_from_descriptor(net.descriptor, seed=7)
+        rebuilt = network_from_descriptor(net.descriptor, net.get_params())
         assert rebuilt.get_params().equal(net.get_params())
         assert rebuilt.descriptor == net.descriptor
 
 
 def test_bad_descriptor_raises():
-    with pytest.raises(ShapeError):
-        network_from_descriptor("vit:16:2", seed=0)
+    params = build_mlp(8, [4], 3, seed=0).get_params()
+    # another family, malformed, a zero width, a misfit width, an extra
+    # layer, a network of another family, a non-square input
+    for descriptor in ("vit:16:2", "mlp:8:4", "mlp:8:4,x:3", "mlp:8:0:3", "mlp:8:5:3",
+                       "mlp:8:4,4:3", "cnn:8x8x1:4:3", "cnn:8x4x1:4:3"):
+        with pytest.raises(FormatError):
+            network_from_descriptor(descriptor, params)
 
 
 # ---------------------------------------------------------------------------
