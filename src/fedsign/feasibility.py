@@ -120,13 +120,13 @@ def _fold(inv, terms, pivots, k, p):
     inv[:k, :k] += (terms[:p, :k].T * pivots[:p]) @ terms[:p, :k]
 
 
-def _min_norm_point(gram, dim, tol=WOLFE_TOL, whole=False):
+def _min_norm_point(gram, dim, whole=False):
     """Wolfe's algorithm for x, the point nearest the origin in the convex
     hull of points u_j in R^dim given by their Gram matrix: x is a convex
     combination of the corral.  A major cycle adds the u_j minimizing x^T u_j;
     minor cycles move x to the corral's affine min-norm point, stepping back
     to the boundary and dropping the blocking point when a weight would turn
-    non-positive.  Stops when |x|^2 - min_j x^T u_j <= tol * max_j |u_j|^2,
+    non-positive.  Stops when |x|^2 - min_j x^T u_j <= WOLFE_TOL max_j |u_j|^2,
     the entering point is in the corral, or rounding stops x shrinking or
     fills the buffers.  They hold min(N, dim + 1) + 1 corral points: Gram
     rows, the lifted Gram A = G_S + 1 1^T and A^-1.  An append borders A^-1
@@ -148,7 +148,7 @@ def _min_norm_point(gram, dim, tol=WOLFE_TOL, whole=False):
     solved again until every weight is positive.  Returns (corral,
     weights, major cycles)."""
     n, diag = len(gram), np.diag(gram)
-    cap, stop = min(n, dim + 1) + 1, tol * diag.max()
+    cap, stop = min(n, dim + 1) + 1, WOLFE_TOL * diag.max()
     idx, rows = np.empty(cap, np.intp), np.empty((cap, n))
     lifted, inv = np.empty((2, cap, cap))
     sums, terms, pivots = np.empty(cap), np.empty((BORDER_TERMS, cap)), np.empty(BORDER_TERMS)

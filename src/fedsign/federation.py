@@ -207,8 +207,8 @@ def setup_clients(ds, shards, net, specs, seed, vanilla=None):
     holders = {cid: spec for cid, spec in specs.items() if spec.alpha > 0 or spec.beta > 0}
     offsets, total = {}, 0
     for cid in sorted(holders):
+        offsets[cid] = total
         if holders[cid].mode == "scale":
-            offsets[cid] = total
             total += holders[cid].n_bits
     clients = []
     for shard in shards:
@@ -216,7 +216,7 @@ def setup_clients(ds, shards, net, specs, seed, vanilla=None):
         if shard.client_id in holders:
             key = keygen(net, shard.client_id, spec.n_bits, spec.n_triggers,
                          spec.mode, seed, dataset=ds, trigger_kind=spec.trigger_kind,
-                         vanilla=vanilla, offset=offsets.get(shard.client_id))
+                         vanilla=vanilla, offset=offsets[shard.client_id])
         clients.append(ClientState(shard.client_id, ds.subset(shard.indices), key, spec))
     return clients
 

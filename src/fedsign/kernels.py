@@ -3,10 +3,12 @@ sums, vectorized with numpy (no compiled code).
 
 Layout is NHWC, float64.  Convolutions are stride 1 with symmetric
 zero padding ``k // 2`` ("same" for odd kernels).  The forward pass and
-both backward products are GEMMs on im2col views: ``dw`` multiplies the
-input's view by ``dy``, and ``dx`` is the "same" convolution of ``dy``
-with the kernel turned 180 degrees and its channel axes swapped; a caller
-that never reads ``dx`` (the first layer of a training step) skips it.
+both backward products are GEMMs on im2col views.  ``cols``, the input's
+view (`im2col`), is required: the caller builds it once and passes it to
+both the forward and the backward.  ``dw`` multiplies it by ``dy``, and
+``dx`` is the "same" convolution of ``dy`` with the kernel turned 180
+degrees and its channel axes swapped; a caller that never reads ``dx``
+(the first layer of a training step) skips it.
 Per-channel sums (``db``, ScaleNorm's statistics and gradients) are one
 GEMV per client over exactly that client's real rows (`channel_sums`).
 Pooling is 2x2, stride 2, elementwise over the four strided slices
@@ -58,21 +60,16 @@ def im2col(x, k):
     return view.reshape(bs, oh, ow, k * k * ci)
 
 
-def conv2d_forward(x, w, b, cols=None):
+def conv2d_forward(x, w, b, cols):
     """x (B,H,W,Cin), w (kh,kw,Cin,Cout), b (Cout,) -> y (B,H,W,Cout).
-    `cols` is x's `im2col` matrix, if the caller keeps it."""
-    kh, _, _, co = w.shape
-    if cols is None:
-        cols = im2col(x, kh)
-    return cols @ w.reshape(-1, co) + b
+    `cols` is `im2col(x, kh)`."""
+    return cols @ w.reshape(-1, w.shape[3]) + b
 
 
-def conv2d_backward(x, w, dy, cols=None, input_grad=True):
+def conv2d_backward(x, w, dy, cols, input_grad=True):
     """Gradients of conv2d_forward: returns (dx, dw, db); dx is None when
-    `input_grad` is false.  `cols` is x's `im2col` matrix, if kept."""
+    `input_grad` is false.  `cols` is `im2col(x, kh)`."""
     kh, kw, ci, co = w.shape
-    if cols is None:
-        cols = im2col(x, kh)
     db = channel_sums(dy.reshape(-1, co))
     dw = (cols.reshape(-1, kh * kw * ci).T @ dy.reshape(-1, co)).reshape(w.shape)
     dx = None

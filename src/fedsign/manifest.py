@@ -24,6 +24,7 @@ SWEEPS = {
     "fraction": ("fraction", ("accuracy", "eta", "trigger_detection")),
 }
 COUNT_SWEEPS = tuple(kind for kind, (axis, _) in SWEEPS.items() if axis in ("bits", "triggers"))
+CNN_BLOCKS = 3  # each block's 2x2 pool halves the 8x8 image: 8 -> 4 -> 2 -> 1
 
 
 # A rule is (test, text): a value that fails `test` is rejected as "<key>
@@ -164,7 +165,7 @@ def _parse_embed(key, raw):
 
 def parse_manifest(text):
     values = {}
-    embed = {}
+    embed, embed_keys = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -176,7 +177,11 @@ def parse_manifest(text):
             suffix = key[len("embed."):]
             if not (suffix.isascii() and suffix.isdigit()):
                 raise ConfigError(f"manifest key {key!r}: client id must be an integer")
-            embed[_parse_value(key, suffix, int)] = _parse_embed(key, raw)
+            cid = _parse_value(key, suffix, int)
+            if cid in embed:
+                raise ConfigError(f"manifest keys {embed_keys[cid]!r} and {key!r} "
+                                  f"both name client {cid}")
+            embed[cid], embed_keys[cid] = _parse_embed(key, raw), key
         elif key in _KEYS:
             if key in values:
                 raise ConfigError(f"manifest key {key!r} appears twice")
@@ -195,7 +200,13 @@ def parse_manifest(text):
 
 
 def _validate(m):
-    """The rules that span several keys."""
+    """The rules that span several keys, and the widths lists' lengths."""
+    for key in ("hidden", "channels"):
+        if not getattr(m, key):
+            raise ConfigError(f"{key} needs at least one width")
+    if m.arch == "cnn" and len(m.channels) > CNN_BLOCKS:
+        raise ConfigError(f"arch = cnn takes at most {CNN_BLOCKS} channels "
+                          f"(each block halves the 8x8 image), got {len(m.channels)}")
     expected = "images" if m.arch == "cnn" else "blobs"
     if m.data_kind != expected:
         raise ConfigError(f"arch = {m.arch} needs data_kind = {expected}, "

@@ -129,11 +129,6 @@ class ModelParams:
     def clone(self):
         return ModelParams.wrap(self.layout, self.vec.copy())
 
-    def equal(self, other):
-        if self.layout != other.layout:
-            raise StateError("parameter layouts differ")
-        return np.array_equal(self.vec, other.vec)
-
 
 # ---------------------------------------------------------------------------
 # layers
@@ -191,10 +186,6 @@ class Layer:
         None and is not computed."""
         raise NotImplementedError
 
-    def _need_cache(self):
-        if getattr(self, "_cache", None) is None:
-            raise StateError(f"{self.kind}: backward called without a forward pass")
-
 
 class Dense(Layer):
     kind = "dense"
@@ -203,13 +194,10 @@ class Dense(Layer):
     def __init__(self, n_in, n_out, rng):
         self.w = rng.normal(0.0, np.sqrt(2.0 / n_in), size=(1, n_in, n_out))
         self.b = np.zeros((1, n_out))
-        self._cache = None
 
     def forward(self, x, train, rows=None):
         w = self.w[:len(x)]
         flat = x.reshape(x.shape[0], x.shape[1], -1)
-        if flat.shape[2] != w.shape[1]:
-            raise ShapeError(f"dense expects {w.shape[1]} features, got {flat.shape[2]}")
         short = () if rows is None else rows.short
         self._cache = (flat, x.shape, short)
         y = flat @ w + self.b[:len(x), None]
@@ -218,7 +206,6 @@ class Dense(Layer):
         return y
 
     def backward(self, dy, input_grad=True):
-        self._need_cache()
         flat, shape, short = self._cache
         dw = flat.transpose(0, 2, 1) @ dy
         db = dy.sum(axis=1)
@@ -244,11 +231,8 @@ class Conv2d(Layer):
         fan_in = c_in * ksize * ksize
         self.w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(1, ksize, ksize, c_in, c_out))
         self.b = np.zeros((1, c_out))
-        self._cache = None
 
     def forward(self, x, train, rows=None):
-        if x.ndim != 5 or x.shape[4] != self.w.shape[3]:
-            raise ShapeError(f"conv2d expects NHWC input with {self.w.shape[3]} channels")
         counts = [x.shape[1]] * len(x) if rows is None else rows.counts
         parts = [x[c, :n] for c, n in enumerate(counts)]
         cols = [kernels.im2col(part, self.w.shape[1]) for part in parts]
@@ -257,7 +241,6 @@ class Conv2d(Layer):
                           for c, part in enumerate(parts)], x.shape[1])
 
     def backward(self, dy, input_grad=True):
-        self._need_cache()
         parts, cols, width = self._cache
         dx, dw, db = zip(*(kernels.conv2d_backward(part, self.w[c], dy[c, :len(part)],
                                                    cols[c], input_grad)
@@ -288,7 +271,6 @@ class ScaleNorm(Layer):
         self.beta = np.zeros((1, channels))
         self.running_mean = np.zeros((1, channels))
         self.running_var = np.ones((1, channels))
-        self._cache = None
 
     @staticmethod
     def _sums(x, short):
@@ -301,9 +283,6 @@ class ScaleNorm(Layer):
         return s
 
     def forward(self, x, train, rows=None):
-        if x.shape[-1] != self.gamma.shape[-1]:
-            raise ShapeError(f"scale-norm expects {self.gamma.shape[-1]} channels, "
-                             f"got {x.shape[-1]}")
         a = len(x)
         expand = (slice(None),) + (None,) * (x.ndim - 2)  # (A, C) -> (A, 1, ..., C)
         short, n = (), None
@@ -329,7 +308,6 @@ class ScaleNorm(Layer):
         return xhat * gamma[expand] + self.beta[:a][expand]
 
     def backward(self, dy):
-        self._need_cache()
         xhat, scale, n, short, expand = self._cache
         dbeta = self._sums(dy, short)
         dgamma = self._sums(dy * xhat, short)
@@ -348,23 +326,16 @@ class ScaleNorm(Layer):
 class Relu(Layer):
     kind = "relu"
 
-    def __init__(self):
-        self._cache = None
-
     def forward(self, x, train, rows=None):
         self._cache = x > 0
         return x * self._cache
 
     def backward(self, dy):
-        self._need_cache()
         return dy * self._cache, {}
 
 
 class MaxPool2(Layer):
     kind = "maxpool"
-
-    def __init__(self):
-        self._cache = None
 
     def forward(self, x, train, rows=None):
         # the clients' batches pool as one batch of images
@@ -373,7 +344,6 @@ class MaxPool2(Layer):
         return y.reshape(x.shape[:2] + y.shape[1:])
 
     def backward(self, dy):
-        self._need_cache()
         arg, shape = self._cache
         dx = kernels.maxpool2_backward(arg, dy.reshape((-1,) + dy.shape[2:]),
                                        (shape[0] * shape[1],) + shape[2:])

@@ -14,8 +14,6 @@ class RunResult:
     logs: list
     net: Network
     clients: list
-    train: object
-    test: object
 
     @property
     def final_accuracy(self):
@@ -54,4 +52,4 @@ def run_once(m: RunManifest, seed=None):
     cfg = replace(m.fed, seed=int(rng_for(seed, "fed").integers(0, 2**31)))
     params, logs = run_federation(cfg, clients, net,
                                   eval_data=(test.inputs, test.labels))
-    return RunResult(params, logs, net, clients, train, test)
+    return RunResult(params, logs, net, clients)

@@ -152,14 +152,15 @@ def flatten_selected(params, selector):
 # key generation
 
 def keygen(net, client_id, n_bits, n_triggers, mode, seed, dataset=None,
-           trigger_kind="pattern", vanilla=None, offset=None):
+           trigger_kind="pattern", vanilla=None, offset=0):
     """Generate one client's secret key: bits, extraction key, trigger set.
 
     Bits are i.i.d. uniform {-1,+1}.  In scale mode the coordinates are
     the slice of one seed-shared channel permutation that starts at
-    `offset` (default client_id * n_bits) and wraps around the pool, so
-    clients given consecutive offsets stay disjoint while the total bit
-    count fits the pool; in kernel mode the extraction matrix is dense
+    `offset` and wraps around the pool.  The caller places the slices:
+    `setup_clients` gives scale keys consecutive offsets in client id
+    order, so they stay disjoint while the total bit count fits the pool.
+    In kernel mode `offset` is unused and the extraction matrix is dense
     i.i.d. standard normal.  Deterministic per (seed, client_id, offset).
     """
     if n_bits < 1:
@@ -172,8 +173,6 @@ def keygen(net, client_id, n_bits, n_triggers, mode, seed, dataset=None,
         if n_bits > pool:
             raise CapacityError(f"{n_bits} bits exceed the {pool}-channel pool")
         perm = rng_for(seed, "wm-coords").permutation(pool)
-        if offset is None:
-            offset = client_id * n_bits
         offsets = (offset + np.arange(n_bits)) % pool
         coords, matrix = perm[offsets], None
     else:

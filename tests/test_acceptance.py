@@ -17,7 +17,7 @@ from fedsign.io import load_checkpoint
 from fedsign.manifest import RunManifest, parse_manifest
 from fedsign.metrics import false_positive_analysis
 from fedsign.nn import ModelParams, build_cnn, build_mlp, rng_for
-from fedsign.runner import make_network, run_once
+from fedsign.runner import make_data, make_network, run_once
 from fedsign.watermark import (
     bce_reg,
     extract,
@@ -258,12 +258,14 @@ def test_criterion_07_black_box_verification():
 
 def test_criterion_08_robustness_ordering():
     prune_gammas, ft_orderings = [], []
+    m = parse_manifest(STD + ARMS["robust"])
     for seed, result in zip(SEEDS, arm("robust")):
         keys = [c.key for c in result.clients if c.key is not None]
         grid = RunManifest(attack_prune=(0.5,), attack_finetune_epochs=(50,),
                            attack_finetune_lr=1e-4, attack_seed=seed)
-        reports = run_attack_suite(grid, result.net, result.params, keys, keys, result.train,
-                                   (result.test.inputs, result.test.labels))
+        train, test = make_data(m, seed)
+        reports = run_attack_suite(grid, result.net, result.params, keys, keys, train,
+                                   (test.inputs, test.labels))
         prune_rep, ft_rep = reports
         prune_gammas.append(prune_rep.eta_gamma)
         ft_orderings.append(ft_rep.eta_gamma >= ft_rep.eta_kernel)

@@ -45,7 +45,7 @@ def params_of(seed=5):
 
 def test_prune_zero_rate_is_identity():
     p = params_of()
-    assert prune(p, 0.0, seed=1).equal(p)
+    assert np.array_equal(prune(p, 0.0, seed=1).vec, p.vec)
 
 
 def test_prune_full_rate_zeroes_all_kernels():
@@ -70,7 +70,7 @@ def test_prune_count_is_exact():
 
 def test_prune_deterministic():
     p = params_of()
-    assert prune(p, 0.4, seed=9).equal(prune(p, 0.4, seed=9))
+    assert np.array_equal(prune(p, 0.4, seed=9).vec, prune(p, 0.4, seed=9).vec)
 
 
 def test_prune_composition_zeroes_at_least_max_fraction():
@@ -86,7 +86,7 @@ def test_prune_composition_zeroes_at_least_max_fraction():
 
 def test_finetune_zero_epochs_is_identity(robustness_run):
     net, params, keys, train, test = robustness_run
-    assert finetune(net, params, train, [0], lr=1e-4, seed=0)[0].equal(params)
+    assert np.array_equal(finetune(net, params, train, [0], lr=1e-4, seed=0)[0].vec, params.vec)
 
 
 def test_finetune_replays_momentum_sgd():
@@ -106,8 +106,8 @@ def test_finetune_replays_momentum_sgd():
             _, d = cross_entropy(replay.forward(ds.inputs[idx], train=True), ds.labels[idx])
             opt.step(replay.params, replay.backward(d), lr)
         lr *= 0.99
-    assert got.equal(replay.get_params())
-    assert not got.equal(start)
+    assert np.array_equal(got.vec, replay.get_params().vec)
+    assert not np.array_equal(got.vec, start.vec)
 
 
 def replay_finetune(net, start, ds, epochs, lr, batch, seed):
@@ -133,8 +133,8 @@ def test_finetune_budgets_equal_their_own_runs():
     got = finetune(net, start, ds, budgets, lr=0.01, seed=4)
     assert len(got) == len(budgets)
     for epochs, params in zip(budgets, got):
-        assert params.equal(replay_finetune(net, start, ds, epochs, 0.01, 16, 4))
-    assert got[0].equal(start) and not got[2].equal(got[1])
+        assert np.array_equal(params.vec, replay_finetune(net, start, ds, epochs, 0.01, 16, 4).vec)
+    assert np.array_equal(got[0].vec, start.vec) and not np.array_equal(got[2].vec, got[1].vec)
 
 
 def test_finetune_grid_takes_the_largest_budget_of_steps(monkeypatch):
@@ -166,7 +166,7 @@ def test_finetune_hinge_scale_outlives_bce_kernel(robustness_run):
 def test_attacks_leave_keys_usable(robustness_run):
     net, params, keys, train, test = robustness_run
     attacked = prune(params, 0.3, seed=4)
-    assert not attacked.equal(params)
+    assert not np.array_equal(attacked.vec, params.vec)
     for key in keys:
         before = verify_white(params, key)
         after = verify_white(attacked, key)

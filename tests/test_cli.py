@@ -94,6 +94,20 @@ def test_train_out_of_range_embed_spec_exits_2(tmp_path, capsys, spec):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lines, key", [
+    ("hidden =", "hidden"),
+    ("channels =", "channels"),
+    ("arch = cnn\ndata_kind = images\nchannels = 8,8,8,8", "channels"),
+], ids=["no-hidden", "no-channels", "cnn-4-blocks"])
+def test_train_architecture_that_builds_no_network_exits_2(tmp_path, capsys, lines, key):
+    """An empty width list, or more pools than the 8x8 image has halvings,
+    is bad input: rejected before anything trains or is written."""
+    manifest, out = write_manifest(tmp_path, MINIMAL + lines + "\n")
+    assert main(["train", str(manifest)]) == EXIT_INPUT
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 PGD_ON_BLOBS = """
 classes = 3
 per_class = 60
@@ -292,7 +306,8 @@ def test_repeated_calls_in_one_process_print_the_same(trained, tmp_path, capsys)
     _, out = trained
     keys = [str(tmp_path / f"c{cid}.key") for cid in range(2)]
     for cid, path in enumerate(keys):
-        save_key(keygen(build_mlp(32, [16, 16], 3, seed=0), cid, 8, 0, "scale", seed=5), path)
+        save_key(keygen(build_mlp(32, [16, 16], 3, seed=0), cid, 8, 0, "scale", seed=5,
+                        offset=8 * cid), path)
     ckpt, own = str(out / "checkpoint.bin"), str(out / "client_0.key")
 
     def bad_radius():
@@ -317,7 +332,7 @@ def test_feasibility_disjoint_keys_exit_ok(tmp_path, capsys):
     net = build_mlp(32, [16, 16], 4, seed=1)
     paths = []
     for cid in range(3):
-        key = keygen(net, cid, 8, 0, "scale", seed=5)
+        key = keygen(net, cid, 8, 0, "scale", seed=5, offset=8 * cid)
         p = tmp_path / f"c{cid}.key"
         save_key(key, p)
         paths.append(str(p))

@@ -530,7 +530,7 @@ def test_full_column_rank_u_is_feasible_for_random_bits(seed):
 
 def test_disjoint_coordinate_keys_feasible():
     net = build_mlp(8, [16, 16], 3, seed=0)
-    keys = [keygen(net, k, 8, 0, "scale", seed=3) for k in range(4)]
+    keys = [keygen(net, k, 8, 0, "scale", seed=3, offset=8 * k) for k in range(4)]
     ut = stack(keys)
     assert raw_conditions(ut)[0]  # one-hot disjoint columns are independent
     report = decide(ut)

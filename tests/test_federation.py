@@ -53,7 +53,7 @@ def test_plain_client_update_is_local_sgd():
             logits = replay.forward(state.data.inputs[idx], train=True)
             _, d = cross_entropy(logits, state.data.labels[idx])
             opt.step(replay.params, replay.backward(d), lr)
-    assert got.equal(replay.get_params())
+    assert np.array_equal(got.vec, replay.get_params().vec)
     assert losses["trigger"] == 0.0 and losses["feature"] == 0.0
 
 
@@ -96,7 +96,7 @@ def test_poisoned_regularized_client_update_replays(loss):
             seen["main"].append(main)
             seen["trigger"].append(trig_loss)
             seen["feature"].append(feat)
-    assert got.equal(replay.get_params())
+    assert np.array_equal(got.vec, replay.get_params().vec)
     assert losses == {k: float(np.mean(v)) for k, v in seen.items()}
     assert losses["trigger"] > 0.0 and losses["feature"] > 0.0
 
@@ -105,7 +105,7 @@ def test_zero_local_epochs_returns_global_unchanged():
     tr, net, shards, cfg, clients = small_world(local_epochs=0)
     start = net.get_params()
     [(got, _)] = client_update(net, clients[:1], start, cfg)
-    assert got.equal(start)
+    assert np.array_equal(got.vec, start.vec)
 
 
 def test_identical_shards_produce_identical_updates():
@@ -113,7 +113,7 @@ def test_identical_shards_produce_identical_updates():
     shared = clients[0].data
     clients[1] = ClientState(1, shared)
     (a, _), (b, _) = client_update(net, clients, net.get_params(), cfg, 0)
-    assert a.equal(b)
+    assert np.array_equal(a.vec, b.vec)
 
 
 def test_beta_without_key_is_config_error():
@@ -181,7 +181,7 @@ def test_stacked_round_matches_one_client_runs_iid():
     stacked = client_update(net, clients, start, cfg, round_index=1)
     single = one_client_runs(net, clients, start, cfg, 1)
     for (got, losses), (want, want_losses) in zip(stacked, single):
-        assert got.equal(want)
+        assert np.array_equal(got.vec, want.vec)
         assert losses == want_losses
     assert all(losses["feature"] > 0 for _, losses in stacked[2:4])  # bce is never 0
     assert all(losses["trigger"] > 0 for _, losses in stacked[4:6])
@@ -214,7 +214,7 @@ def test_stacked_rounds_match_one_client_runs_noniid():
             updates.append((cid, add_dp_noise(local, cfg.dp_sigma, (cfg.seed, r, cid)),
                             state.n_samples))
         global_params = aggregate(updates)
-    assert final.equal(global_params)
+    assert np.array_equal(final.vec, global_params.vec)
     assert 1 in logs[0].selected and 4 in logs[2].selected
 
 
@@ -224,14 +224,14 @@ def test_stacked_rounds_match_one_client_runs_noniid():
 def test_dp_zero_sigma_is_identity():
     net = build_mlp(8, [4], 2, seed=0)
     p = net.get_params()
-    assert add_dp_noise(p, 0.0, seed=3).equal(p)
+    assert np.array_equal(add_dp_noise(p, 0.0, seed=3).vec, p.vec)
 
 
 def test_dp_noise_std_and_determinism():
     p = ModelParams({(0, "kernel"): np.zeros(100_000)})
     a = add_dp_noise(p, 0.05, seed=("s", 1))
     b = add_dp_noise(p, 0.05, seed=("s", 1))
-    assert a.equal(b)
+    assert np.array_equal(a.vec, b.vec)
     std = a.entries[(0, "kernel")].std()
     assert abs(std - 0.05) <= 0.02 * 0.05
 
@@ -258,7 +258,7 @@ def test_aggregate_equal_weights():
 def test_aggregate_single_client_identity():
     p = make_vec(0.1, -0.7, 3.3)
     out = aggregate([(0, p, 17)])
-    assert out.equal(p)
+    assert np.array_equal(out.vec, p.vec)
 
 
 def test_aggregate_weighted_mean():
@@ -328,7 +328,7 @@ def test_zero_rounds_returns_initial_params():
     tr, net, shards, cfg, clients = small_world(rounds=0)
     start = net.get_params()
     final, logs = run_federation(cfg, clients, net)
-    assert final.equal(start)
+    assert np.array_equal(final.vec, start.vec)
     assert logs == []
 
 
@@ -341,7 +341,7 @@ def test_single_client_fedavg_degenerates_to_sequential_updates():
     replay = ClientState(0, clients[0].data)
     for r in range(3):
         [(chained, _)] = client_update(net, [replay], chained, cfg, r)
-    assert final.equal(chained)
+    assert np.array_equal(final.vec, chained.vec)
 
 
 def test_default_spec_trains_plainly_with_no_telemetry(monkeypatch):
@@ -359,7 +359,7 @@ def test_default_spec_trains_plainly_with_no_telemetry(monkeypatch):
         monkeypatch.setattr(fed, reg, lambda *args: pytest.fail("regularizer called"))
     final, logs = run_federation(cfg, [ClientState(c.client_id, c.data, key) for c in clients],
                                  net)
-    assert final.equal(plain)
+    assert np.array_equal(final.vec, plain.vec)
     assert all(not log.eta and not log.trigger_error for log in logs)
     assert all(losses == {0: 0.0, 1: 0.0} for log in logs
                for losses in (log.loss_trigger, log.loss_feature))
@@ -377,7 +377,7 @@ def test_run_federation_bitwise_deterministic(tmp_path):
         round_logs_to_csv(logs, path, cfg.n_clients)
         outputs.append(final)
         csvs.append(path.read_bytes())
-    assert outputs[0].equal(outputs[1])
+    assert np.array_equal(outputs[0].vec, outputs[1].vec)
     assert csvs[0] == csvs[1]
 
 

@@ -91,8 +91,8 @@ def test_conv2d_forward_matches_reference(seed):
     x = rng.normal(size=(3, 6, 6, 2))
     w = rng.normal(size=(3, 3, 2, 4))
     b = rng.normal(size=4)
-    np.testing.assert_allclose(kernels.conv2d_forward(x, w, b), ref_conv2d(x, w, b),
-                               rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(kernels.conv2d_forward(x, w, b, kernels.im2col(x, 3)),
+                               ref_conv2d(x, w, b), rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -102,10 +102,10 @@ def test_conv2d_backward_matches_finite_differences(seed):
     w = rng.normal(size=(3, 3, 2, 3))
     b = rng.normal(size=3)
     dy = rng.normal(size=(2, 4, 4, 3))
-    dx, dw, db = kernels.conv2d_backward(x, w, dy)
+    dx, dw, db = kernels.conv2d_backward(x, w, dy, kernels.im2col(x, 3))
 
     def loss(x_, w_, b_):
-        return float((kernels.conv2d_forward(x_, w_, b_) * dy).sum())
+        return float((kernels.conv2d_forward(x_, w_, b_, kernels.im2col(x_, 3)) * dy).sum())
 
     h = 1e-6
     for arr, grad in ((x, dx), (w, dw), (b, db)):
@@ -128,7 +128,8 @@ def test_conv2d_backward_matches_reference(ci, co, bs, hw):
     x = rng.normal(size=(bs, hw, hw, ci))
     w = rng.normal(size=(3, 3, ci, co))
     dy = rng.normal(size=(bs, hw, hw, co))
-    for got, want in zip(kernels.conv2d_backward(x, w, dy), ref_conv2d_backward(x, w, dy)):
+    for got, want in zip(kernels.conv2d_backward(x, w, dy, kernels.im2col(x, 3)),
+                         ref_conv2d_backward(x, w, dy)):
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 

@@ -91,6 +91,13 @@ def test_embed_client_out_of_range():
         parse_manifest("clients = 2\nembed.5 = beta=1.0")
 
 
+@pytest.mark.parametrize("second", ["embed.1", "embed.01"])
+def test_repeated_embed_client_rejected_naming_both_keys(second):
+    spec = "mode=scale bits=8 beta=3.0"
+    with pytest.raises(ConfigError, match=re.escape(f"'embed.1' and '{second}' both name client 1")):
+        parse_manifest(f"clients = 4\nembed.1 = {spec}\n{second} = {spec}")
+
+
 def test_missing_watermark_spec_rejected():
     with pytest.raises(ConfigError, match="missing watermark spec"):
         parse_manifest("embed.0 = beta=1.0 bits=0")
@@ -171,6 +178,20 @@ def test_arch_data_kind_mismatch_names_both_keys(arch, data_kind):
 def test_arch_data_kind_match_accepted(arch, data_kind):
     m = parse_manifest(f"arch = {arch}\ndata_kind = {data_kind}")
     assert (m.arch, m.data_kind) == (arch, data_kind)
+
+
+@pytest.mark.parametrize("arch,data_kind", [("mlp", "blobs"), ("cnn", "images")])
+@pytest.mark.parametrize("key", ["hidden", "channels"])
+def test_empty_width_list_rejected(arch, data_kind, key):
+    with pytest.raises(ConfigError, match=f"^{key} needs at least one width"):
+        parse_manifest(f"arch = {arch}\ndata_kind = {data_kind}\n{key} =")
+
+
+def test_cnn_takes_at_most_three_channel_blocks():
+    cnn = "arch = cnn\ndata_kind = images\n"
+    assert parse_manifest(cnn + "channels = 8,8,8").channels == (8, 8, 8)
+    with pytest.raises(ConfigError, match="arch = cnn takes at most 3 channels.*got 4"):
+        parse_manifest(cnn + "channels = 8,8,8,8")
 
 
 def test_fraction_validated_through_fedconfig():

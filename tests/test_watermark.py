@@ -59,7 +59,7 @@ def test_scale_keygen_gives_distinct_channel_indices():
 
 def test_scale_keygen_clients_disjoint_within_capacity():
     net = build_mlp(8, [16, 16], 3, seed=0)  # pool of 32 channels
-    keys = [keygen(net, k, 8, 0, "scale", seed=5) for k in range(4)]
+    keys = [keygen(net, k, 8, 0, "scale", seed=5, offset=8 * k) for k in range(4)]
     merged = np.concatenate([k.coords for k in keys])
     assert len(np.unique(merged)) == 32
 
