@@ -67,17 +67,15 @@ def finetune(net, params, ds, budgets, lr, seed):
 
 def evaluate_attack(net, params, feature_keys, trigger_keys, eval_data):
     """Main accuracy plus per-mode mean detection rates for `params`:
-    white-box over `feature_keys`, black-box over the `trigger_keys` that
-    carry triggers."""
+    white-box over `feature_keys`, black-box over `trigger_keys`, each of
+    which carries its trigger set."""
     net.set_params(params)
     acc = accuracy(net, eval_data[0], eval_data[1])
-    gamma, kernel, trig = [], [], []
+    gamma, kernel = [], []
     for key in feature_keys:
         eta = verify_white(params, key).detection_rate
         (gamma if key.mode == "scale" else kernel).append(eta)
-    for key in trigger_keys:
-        if key.triggers is not None:
-            trig.append(verify_black(net, key.triggers).trigger_error)
+    trig = [verify_black(net, key.triggers).trigger_error for key in trigger_keys]
     mean = lambda xs: float(np.mean(xs)) if xs else None
     return acc, mean(gamma), mean(kernel), mean(trig)
 

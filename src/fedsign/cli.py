@@ -107,6 +107,9 @@ def cmd_attack(args):
     # every client that embeds was given a keyfile by `train`
     keys = {cid: load_key(_key_path(m.out_dir, cid))
             for cid, spec in sorted(m.embed.items()) if spec.alpha > 0 or spec.beta > 0}
+    for cid, key in keys.items():
+        if m.embed[cid].alpha > 0 and key.triggers is None:
+            raise FedsignError(f"keyfile {_key_path(m.out_dir, cid)} carries no trigger set")
     train, test = make_data(m, m.seed)
     reports = run_attack_suite(m, net, params,
                                [key for cid, key in keys.items() if m.embed[cid].beta > 0],

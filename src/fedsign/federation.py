@@ -202,11 +202,13 @@ def setup_clients(ds, shards, net, specs, seed, vanilla=None):
     """Build per-client state: each client holds its spec from `specs`, or
     the default one that embeds nothing, and a key if its spec embeds.
 
-    Scale-mode keys take consecutive slices of the channel pool in client
-    id order, so they are disjoint while their bits fit the pool."""
+    Scale-mode keys take consecutive slices of the channel pool: first the
+    keys whose bits are trained (beta > 0), then the trigger-only keys, each
+    group in client id order.  The trained keys are therefore disjoint while
+    their bits fit the pool, whatever the trigger-only keys hold."""
     holders = {cid: spec for cid, spec in specs.items() if spec.alpha > 0 or spec.beta > 0}
     offsets, total = {}, 0
-    for cid in sorted(holders):
+    for cid in sorted(holders, key=lambda cid: (holders[cid].beta == 0, cid)):
         offsets[cid] = total
         if holders[cid].mode == "scale":
             total += holders[cid].n_bits

@@ -497,7 +497,7 @@ class SgdMomentum:
     """Plain momentum SGD on the whole vector: v <- m*v + g ; p <- p - lr*v.
     Normalization statistics have zero gradient, so they stay put."""
 
-    def __init__(self, params, momentum=0.9):
+    def __init__(self, params, momentum):
         self.velocity = np.zeros(params.vec.shape)
         self.momentum = momentum
 
@@ -512,24 +512,6 @@ class SgdMomentum:
         v *= self.momentum
         v += grads.vec
         params.vec[rows] -= lr * v
-
-
-def _client_steps(n, epochs, batch, stream, perms, picks):
-    """One client's pool rows for each of its steps: its shuffled batch
-    rows, then its trigger rows (numbered from n), then -1 padding; and
-    each step's count of batch rows."""
-    per_epoch = -(-n // batch)
-    clean = np.full((epochs, per_epoch * batch), -1)
-    for e in range(epochs):
-        if (e, n) not in perms:
-            perms[e, n] = rng_for(*stream, e).permutation(n)
-        clean[e, :n] = perms[e, n]
-    steps = epochs * per_epoch
-    k = np.minimum(batch, n - np.arange(steps) % max(per_epoch, 1) * batch)
-    rows = np.full((steps, batch + picks.shape[1]), -1)
-    rows[:, :batch] = clean.reshape(steps, batch)
-    rows[np.arange(steps)[:, None], k[:, None] + np.arange(picks.shape[1])] = picks + n
-    return rows, k
 
 
 def _mean_nll(logp, start, count):
@@ -572,6 +554,9 @@ def sgd_epochs(net, inputs, labels, epochs, lr, momentum, batch, stream,
     triggers = triggers or [None] * n_clients
     reg = reg or [None] * n_clients
     trig_rows = [0 if t is None else t[3] for t in triggers]
+    # no step holds more rows than the largest client has, so a larger batch
+    # changes no step, only the size of the step table
+    batch = min(batch, max(1, *(len(y) for y in labels)))
     per_epoch = [-(-len(y) // batch) for y in labels]
     # most steps first, so that the clients still training are the leading
     # rows; then most trigger rows, so that equal batch widths sit together
@@ -584,41 +569,43 @@ def sgd_epochs(net, inputs, labels, epochs, lr, momentum, batch, stream,
         lr *= lr_decay
 
     # step s trains rows [0, active[s]) on idx[s], indices into one pool of
-    # every client's samples and trigger samples (-1: a zero row, padding);
-    # div and mul scale each row's loss gradient: 1/rows for batch rows,
-    # alpha/count for trigger rows, 0 for padding
+    # every client's samples and trigger samples (-1: a zero row, padding):
+    # client i's shuffled batch rows, then its trigger rows.  clean, counts
+    # and epoch hold each step's batch rows, all its rows and its epoch
     total, width = epochs * per_epoch[order[0]], batch + max(trig_rows)
     idx = np.full((total, n_clients, width), -1)
-    clean = np.zeros((total, n_clients), dtype=int)  # batch rows
-    counts = np.zeros((total, n_clients), dtype=int)  # batch and trigger rows
-    div = np.ones((total, n_clients, width))
-    mul = np.zeros((total, n_clients, width))
-    rates = np.empty((total, n_clients, 1))
+    clean, counts, epoch = (np.zeros((total, n_clients), dtype=int) for _ in range(3))
+    weight = np.zeros(n_clients)  # alpha / count: a trigger row's loss weight
     pool_x, pool_y, perms = [], [], {}
     for i, c in enumerate(order):
         x, y = inputs[c], np.asarray(labels[c])
         _check_labels(y, net.n_classes)
-        steps, count = epochs * per_epoch[c], trig_rows[c]
-        picks = np.zeros((steps, 0), dtype=int)
+        n, m = len(y), per_epoch[c]
+        steps, offset = epochs * m, sum(len(p) for p in pool_y)
+        step, col = np.divmod(np.arange(n), batch)
+        for e in range(epochs):
+            if (e, n) not in perms:
+                perms[e, n] = rng_for(*stream, e).permutation(n)
+            idx[e * m + step, i, col] = perms[e, n] + offset
+        clean[:steps, i] = np.tile(np.minimum(batch, n - np.arange(m) * batch), epochs)
+        counts[:steps, i] = clean[:steps, i] + trig_rows[c]
+        epoch[:steps, i] = np.repeat(np.arange(epochs), m)
         if triggers[c] is not None:
             tx, ty, alpha, count, trig_rng = triggers[c]
             _check_labels(ty, net.n_classes)
             picks = trig_rng.integers(0, len(ty), size=(steps, count))
+            idx[np.arange(steps)[:, None], i, clean[:steps, i, None] + np.arange(count)] = (
+                picks + offset + n)
+            weight[i] = alpha / max(count, 1)
             x, y = np.concatenate([x, tx]), np.concatenate([y, ty])
-        rows, k = _client_steps(len(labels[c]), epochs, batch, stream, perms, picks)
-        s = np.arange(steps)
-        offset = sum(len(p) for p in pool_y)
-        idx[s, i, :rows.shape[1]] = np.where(rows >= 0, rows + offset, -1)
-        clean[s, i] = k
-        counts[s, i] = k + count
-        is_clean = np.arange(width) < k[:, None]
-        div[s, i] = np.where(is_clean, k[:, None], 1)
-        mul[s, i] = is_clean
-        if count:
-            mul[s[:, None], i, k[:, None] + np.arange(count)] = alpha / count
-        rates[s, i, 0] = np.repeat(epoch_rates, per_epoch[c])
         pool_x.append(x)
         pool_y.append(y)
+    # div and mul scale each row's loss gradient: 1/rows for batch rows,
+    # alpha/count for trigger rows, 0 for padding
+    col, k = np.arange(width), clean[..., None]
+    div = np.where(col < k, k, 1.0)
+    mul = np.where(col < k, 1.0, np.where(col < counts[..., None], weight[:, None], 0.0))
+    rates = np.asarray(epoch_rates)[epoch][..., None]
     pool_x = np.concatenate(pool_x + [np.zeros((1,) + pool_x[0].shape[1:])])
     pool_y = np.concatenate(pool_y + [np.zeros(1, dtype=pool_y[0].dtype)])
     active = (counts > 0).sum(axis=1).tolist()
@@ -669,11 +656,9 @@ def sgd_epochs(net, inputs, labels, epochs, lr, momentum, batch, stream,
     return losses, [ModelParams.wrap(layout, k[0] if net.clients == 1 else k) for k in kept]
 
 
-def fit(net, inputs, labels, epochs, lr, momentum=0.9, batch=16, seed=0, lr_decay=1.0):
-    """Centralized cross-entropy training; returns per-epoch mean loss."""
-    [losses], _ = sgd_epochs(net, [inputs], [labels], epochs, lr, momentum, batch,
-                             (seed, "fit"), lr_decay)
-    return [float(np.mean(epoch)) for epoch in losses[0]]
+def fit(net, inputs, labels, epochs, lr, seed):
+    """Centralized cross-entropy training: momentum 0.9, batches of 16."""
+    sgd_epochs(net, [inputs], [labels], epochs, lr, 0.9, 16, (seed, "fit"))
 
 
 # ---------------------------------------------------------------------------

@@ -158,8 +158,8 @@ def keygen(net, client_id, n_bits, n_triggers, mode, seed, dataset=None,
     Bits are i.i.d. uniform {-1,+1}.  In scale mode the coordinates are
     the slice of one seed-shared channel permutation that starts at
     `offset` and wraps around the pool.  The caller places the slices:
-    `setup_clients` gives scale keys consecutive offsets in client id
-    order, so they stay disjoint while the total bit count fits the pool.
+    `setup_clients` gives scale keys consecutive offsets, those with beta > 0
+    first, so their trained bits stay disjoint while they fit the pool.
     In kernel mode `offset` is unused and the extraction matrix is dense
     i.i.d. standard normal.  Deterministic per (seed, client_id, offset).
     """

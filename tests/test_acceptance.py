@@ -264,7 +264,7 @@ def test_criterion_08_robustness_ordering():
         grid = RunManifest(attack_prune=(0.5,), attack_finetune_epochs=(50,),
                            attack_finetune_lr=1e-4, attack_seed=seed)
         train, test = make_data(m, seed)
-        reports = run_attack_suite(grid, result.net, result.params, keys, keys, train,
+        reports = run_attack_suite(grid, result.net, result.params, keys, [], train,
                                    (test.inputs, test.labels))
         prune_rep, ft_rep = reports
         prune_gammas.append(prune_rep.eta_gamma)

@@ -149,16 +149,16 @@ def test_finetune_grid_takes_the_largest_budget_of_steps(monkeypatch):
 
 def test_finetune_keeps_main_accuracy(robustness_run):
     net, params, keys, train, test = robustness_run
-    acc_before, *_ = evaluate_attack(net, params, keys, keys, (test.inputs, test.labels))
+    acc_before, *_ = evaluate_attack(net, params, keys, [], (test.inputs, test.labels))
     [attacked] = finetune(net, params, train, [50], lr=1e-4, seed=0)
-    acc_after, *_ = evaluate_attack(net, attacked, keys, keys, (test.inputs, test.labels))
+    acc_after, *_ = evaluate_attack(net, attacked, keys, [], (test.inputs, test.labels))
     assert acc_after >= acc_before - 0.01
 
 
 def test_finetune_hinge_scale_outlives_bce_kernel(robustness_run):
     net, params, keys, train, test = robustness_run
     [attacked] = finetune(net, params, train, [50], lr=1e-4, seed=0)
-    _, eta_gamma, eta_kernel, _ = evaluate_attack(net, attacked, keys, keys,
+    _, eta_gamma, eta_kernel, _ = evaluate_attack(net, attacked, keys, [],
                                                   (test.inputs, test.labels))
     assert eta_gamma >= eta_kernel
 
@@ -179,10 +179,10 @@ def test_attacks_leave_keys_usable(robustness_run):
 
 def run_grid(run, prune=(), finetune=()):
     """The attack suite over `run` on a manifest grid of these rates and
-    budgets (attack seed 0); the feature keys double as trigger keys."""
+    budgets (attack seed 0), over the run's feature keys."""
     net, params, keys, train, test = run
     m = RunManifest(attack_prune=prune, attack_finetune_epochs=finetune)
-    return run_attack_suite(m, net, params, keys, keys, train, (test.inputs, test.labels))
+    return run_attack_suite(m, net, params, keys, [], train, (test.inputs, test.labels))
 
 
 def test_empty_grid_gives_empty_reports(robustness_run):

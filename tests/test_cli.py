@@ -108,6 +108,29 @@ def test_train_architecture_that_builds_no_network_exits_2(tmp_path, capsys, lin
     assert not out.exists()
 
 
+# 30 rows on 2 clients: no shard holds more than 16 rows
+FULL_BATCH = """
+classes = 3
+per_class = 10
+test_per_class = 10
+clients = 2
+rounds = 3
+seed = 11
+batch = {batch}
+out_dir = {out}
+embed.0 = mode=scale bits=8 beta=3.0 triggers=5 alpha=1.0
+"""
+
+
+def test_train_batch_beyond_every_shard_takes_whole_shards(tmp_path):
+    checkpoints = []
+    for batch in (16, 10**12):
+        manifest, out = write_manifest(tmp_path, FULL_BATCH, out=f"out{batch}", batch=batch)
+        assert main(["train", str(manifest)]) == EXIT_OK
+        checkpoints.append((out / "checkpoint.bin").read_bytes())
+    assert checkpoints[0] == checkpoints[1]
+
+
 PGD_ON_BLOBS = """
 classes = 3
 per_class = 60
@@ -426,6 +449,18 @@ def test_attack_missing_keyfile_is_input_error(tmp_path, capsys):
     os.remove(out / "client_1.key")
     assert main(["attack", str(manifest)]) == EXIT_INPUT
     assert "client_1.key" in capsys.readouterr().err
+    assert not (out / "attacks.csv").exists()
+
+
+def test_attack_trigger_key_without_its_trigger_set_is_input_error(tmp_path, capsys):
+    manifest, out = write_manifest(tmp_path, WITH_TRIGGERS + "attack.prune = 0.5\n")
+    assert main(["train", str(manifest)]) == EXIT_OK
+    key = fedsign.watermark.load_key(out / "client_0.key")
+    key.triggers = None
+    os.remove(out / "client_0.key.triggers")
+    save_key(key, out / "client_0.key")
+    assert main(["attack", str(manifest)]) == EXIT_INPUT
+    assert "client_0.key" in capsys.readouterr().err
     assert not (out / "attacks.csv").exists()
 
 

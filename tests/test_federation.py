@@ -321,6 +321,19 @@ def test_setup_clients_scale_coords_disjoint(bits):
     assert len(np.unique(np.concatenate(coords))) == sum(bits.values())
 
 
+def test_setup_clients_trained_scale_keys_placed_before_trigger_only_keys():
+    # 40 bits on a 32-channel pool: the trigger-only clients 4 and 5 sit
+    # between embedding clients in id order, yet the 24 trained bits fit
+    tr = make_synthetic(3, 40, seed=50, kind="blobs")
+    net = build_mlp(32, [16, 16], 3, seed=0)
+    specs = {cid: WatermarkSpec("scale", 8, 0, "hinge", beta=3.0) for cid in (0, 1, 6)}
+    specs.update({cid: WatermarkSpec("scale", 8, 10, alpha=1.0) for cid in (4, 5)})
+    clients = setup_clients(tr, split(tr, 8, seed=7), net, specs, seed=7)
+    coords = [c.key.coords for c in clients if c.spec.beta > 0]
+    assert len(coords) == 3
+    assert len(np.unique(np.concatenate(coords))) == 24
+
+
 # ---------------------------------------------------------------------------
 # full loop
 

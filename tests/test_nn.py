@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -383,7 +384,7 @@ def test_fit_history_is_per_epoch_mean_loss():
     y = rng.integers(0, 3, size=30)
     net = build_mlp(5, [6], 3, seed=8)
     replay = net.stacked(1)
-    history = fit(net, x, y, epochs=3, lr=0.05, batch=8, seed=2, lr_decay=0.5)
+    [terms], _ = sgd_epochs(net, [x], [y], 3, 0.05, 0.9, 8, (2, "fit"), lr_decay=0.5)
 
     opt = SgdMomentum(replay.params, 0.9)
     lr = 0.05
@@ -398,7 +399,7 @@ def test_fit_history_is_per_epoch_mean_loss():
             losses.append(loss)
         expect.append(float(np.mean(losses)))
         lr *= 0.5
-    assert history == expect
+    assert [float(np.mean(epoch)) for epoch in terms[0]] == expect
     assert np.array_equal(net.get_params().vec, replay.get_params().vec)
 
 
@@ -454,6 +455,25 @@ def test_stacked_sgd_keeps_each_clients_epochs():
             np.testing.assert_array_equal(copy.vec[c], run([c], e)[0][0])
     with pytest.raises(ShapeError):
         run([0, 1], 3, (4,))
+
+
+def test_sgd_epochs_table_is_sized_by_the_shard_not_the_batch():
+    # a batch larger than the shard takes the whole shard: same steps, and
+    # no more memory than a batch of exactly the shard
+    rng = rng_for(18)
+    x, y = rng.normal(size=(15, 6)), rng.integers(0, 3, size=15)
+    peaks, vecs = [], []
+    for batch in (15, 10**6):
+        net = build_mlp(6, [8], 3, seed=19)
+        tracemalloc.start()
+        try:
+            sgd_epochs(net, [x], [y], 2, 0.05, 0.9, batch, ("memory", 1))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        vecs.append(net.get_params().vec)
+    assert peaks[1] <= 2 * peaks[0]
+    np.testing.assert_array_equal(vecs[0], vecs[1])
 
 
 def test_fit_learns_separable_data():
